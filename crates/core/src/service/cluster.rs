@@ -633,11 +633,15 @@ fn sweep_expansion(words: &[&str]) -> Option<(MachineId, Vec<MachineId>)> {
     let suite: Suite = words[2].parse().ok()?;
     let mut grid = SweepGrid::new();
     let mut only: Option<Vec<MachineId>> = None;
+    let mut uops = None;
     for arg in &words[3..] {
         let (key, value) = arg.split_once('=')?;
         match key {
+            // Read only so an over-cap budget is forwarded to one backend
+            // whole, which refuses it with its own error bytes.
+            "uops" => uops = Some(value.parse().ok()?),
             // Forwarded verbatim; they do not change the variant set.
-            "uops" | "seed" | "limit" | "component" => {}
+            "seed" | "limit" | "component" => {}
             "only" => {
                 let mut ids = Vec::new();
                 for name in value.split(',') {
@@ -650,6 +654,9 @@ fn sweep_expansion(words: &[&str]) -> Option<(MachineId, Vec<MachineId>)> {
     }
     let mut spec = SweepSpec::new(base, grid, suite);
     spec.only = only;
+    if let Some(uops) = uops {
+        spec.uops = uops;
+    }
     let variants = sweep::expand_selected(&spec).ok()?;
     Some((base, variants.into_iter().map(|v| v.id).collect()))
 }

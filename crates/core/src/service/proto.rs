@@ -606,6 +606,8 @@ fn parse_sweep_spec(words: &[&str], options: &FitOptions) -> Result<SweepSpec, C
                 .map_err(|e| CommandError::Protocol(e.to_string()))?,
         }
     }
+    spec.check_bounds()
+        .map_err(|e| CommandError::Protocol(e.to_string()))?;
     Ok(spec)
 }
 

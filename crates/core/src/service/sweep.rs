@@ -32,6 +32,16 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::str::FromStr;
 
+/// The most variants one sweep request may expand to. Each benchmark's
+/// trace is timed on every variant of a front-end group at once, so the
+/// grid size bounds the work (and memory) a single request can claim;
+/// the largest grid in use sweeps 16 variants.
+pub const MAX_SWEEP_VARIANTS: usize = 256;
+
+/// The largest `uops` budget per benchmark run a sweep request may ask
+/// for (the simulator default is 2 M).
+pub const MAX_SWEEP_UOPS: u64 = 50_000_000;
+
 /// One CPI-stack component, selectable as the sweep's
 /// component-of-interest (the second Pareto objective next to CPI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,9 +209,9 @@ impl SweepGrid {
     pub fn points(&self) -> usize {
         let len = |v: usize| v.max(1);
         len(dedup_len(&self.rob))
-            * len(dedup_len(&self.mshrs))
-            * len(dedup_len(&self.dispatch))
-            * len(dedup_len(&self.prefetch))
+            .saturating_mul(len(dedup_len(&self.mshrs)))
+            .saturating_mul(len(dedup_len(&self.dispatch)))
+            .saturating_mul(len(dedup_len(&self.prefetch)))
     }
 }
 
@@ -239,6 +249,16 @@ pub enum SweepError {
         /// The unknown name.
         component: String,
     },
+    /// The grid expands to more than [`MAX_SWEEP_VARIANTS`] points.
+    TooManyVariants {
+        /// Grid points requested.
+        points: usize,
+    },
+    /// The `uops` budget exceeds [`MAX_SWEEP_UOPS`].
+    TooManyUops {
+        /// µops per run requested.
+        uops: u64,
+    },
 }
 
 impl fmt::Display for SweepError {
@@ -257,6 +277,13 @@ impl fmt::Display for SweepError {
             SweepError::Grid { detail } => write!(f, "bad sweep grid: {detail}"),
             SweepError::UnknownComponent { component } => {
                 write!(f, "unknown stack component `{component}`")
+            }
+            SweepError::TooManyVariants { points } => write!(
+                f,
+                "sweep grid expands to {points} variants, over the cap of {MAX_SWEEP_VARIANTS}"
+            ),
+            SweepError::TooManyUops { uops } => {
+                write!(f, "sweep uops={uops} is over the cap of {MAX_SWEEP_UOPS}")
             }
         }
     }
@@ -282,11 +309,16 @@ pub struct SweepVariant {
 /// # Errors
 ///
 /// [`SweepError::VariantBase`] when `base` is itself a variant;
-/// [`SweepError::InvalidPoint`] when a grid point fails
-/// [`MachineConfig::validate`].
+/// [`SweepError::TooManyVariants`] when the grid has more than
+/// [`MAX_SWEEP_VARIANTS`] points; [`SweepError::InvalidPoint`] when a grid
+/// point fails [`MachineConfig::validate`].
 pub fn expand(base: MachineId, grid: &SweepGrid) -> Result<Vec<SweepVariant>, SweepError> {
     if base.is_variant() {
         return Err(SweepError::VariantBase { base });
+    }
+    let points = grid.points();
+    if points > MAX_SWEEP_VARIANTS {
+        return Err(SweepError::TooManyVariants { points });
     }
     let preset = MachineConfig::preset(base);
     let axis = |values: &[u64], fallback: u64| -> Vec<u64> {
@@ -361,9 +393,11 @@ pub fn expand(base: MachineId, grid: &SweepGrid) -> Result<Vec<SweepVariant>, Sw
 ///
 /// # Errors
 ///
-/// Everything [`expand`] raises, plus [`SweepError::Grid`] when `only`
-/// names a variant the grid does not expand to.
+/// Everything [`expand`] and [`SweepSpec::check_bounds`] raise, plus
+/// [`SweepError::Grid`] when `only` names a variant the grid does not
+/// expand to.
 pub fn expand_selected(spec: &SweepSpec) -> Result<Vec<SweepVariant>, SweepError> {
+    spec.check_bounds()?;
     let mut variants = expand(spec.base, &spec.grid)?;
     if let Some(only) = &spec.only {
         if let Some(unknown) = only.iter().find(|id| variants.iter().all(|v| v.id != **id)) {
@@ -443,6 +477,24 @@ impl SweepSpec {
             only: None,
             component: StackComponent::LlcD,
         }
+    }
+
+    /// Checks the request against the per-request caps before any work is
+    /// queued: at most [`MAX_SWEEP_VARIANTS`] grid points and
+    /// [`MAX_SWEEP_UOPS`] µops per run.
+    ///
+    /// # Errors
+    ///
+    /// [`SweepError::TooManyVariants`] or [`SweepError::TooManyUops`].
+    pub fn check_bounds(&self) -> Result<(), SweepError> {
+        let points = self.grid.points();
+        if points > MAX_SWEEP_VARIANTS {
+            return Err(SweepError::TooManyVariants { points });
+        }
+        if self.uops > MAX_SWEEP_UOPS {
+            return Err(SweepError::TooManyUops { uops: self.uops });
+        }
+        Ok(())
     }
 }
 
@@ -558,6 +610,42 @@ mod tests {
         assert!(grid.parse_arg("l2=big").is_err());
         assert!(grid.parse_arg("rob=ten").is_err());
         assert!(grid.parse_arg("rob96").is_err());
+    }
+
+    #[test]
+    fn requests_over_the_caps_are_typed_errors() {
+        let wide = |n: usize| SweepGrid::new().rob((0..n).map(|i| 64 + i));
+        // At the cap the grid expands; one point more is refused before
+        // any variant is built.
+        let cap = wide(MAX_SWEEP_VARIANTS);
+        assert_eq!(
+            expand(MachineId::Core2, &cap).unwrap().len(),
+            MAX_SWEEP_VARIANTS
+        );
+        let over = wide(MAX_SWEEP_VARIANTS + 1);
+        assert_eq!(
+            expand(MachineId::Core2, &over).unwrap_err(),
+            SweepError::TooManyVariants {
+                points: MAX_SWEEP_VARIANTS + 1
+            }
+        );
+        // Axis products saturate instead of overflowing.
+        let huge = SweepGrid::new()
+            .rob(0..100_000)
+            .mshrs(0..100_000)
+            .dispatch(0..100_000)
+            .prefetch(0..100_000);
+        assert_eq!(huge.points(), usize::MAX);
+        let mut spec = SweepSpec::new(MachineId::Core2, SweepGrid::new(), Suite::Cpu2000);
+        spec.uops = MAX_SWEEP_UOPS;
+        spec.check_bounds().unwrap();
+        spec.uops += 1;
+        assert_eq!(
+            expand_selected(&spec).unwrap_err(),
+            SweepError::TooManyUops {
+                uops: MAX_SWEEP_UOPS + 1
+            }
+        );
     }
 
     #[test]

@@ -429,66 +429,101 @@ impl SimSource {
         }
     }
 
-    /// Runs the flattened `(machine × benchmark)` work-list on `workers`
-    /// threads pulling items from one shared atomic index — the
-    /// work-stealing pool behind both `collect` and `collect_all`.
+    /// Simulates every `(config, benchmark)` pair on at most `threads`
+    /// workers pulling work units from one shared atomic index — the
+    /// work-stealing pool behind both `collect` and `collect_all`. Records
+    /// come back config-major, benchmark-minor: the exact sequential order.
     ///
-    /// Determinism: each item's output slot is assigned *before* any worker
-    /// starts (item `i` writes slot `i`, and the item list is in exact
-    /// sequential order: machine-major, then suite, then benchmark), and
-    /// every workload is independently seeded, so which worker simulates
-    /// which benchmark — and in what order — can never change a single
-    /// record byte. Each worker reuses one [`oosim::pipeline::SimScratch`]
-    /// across all its items (machine switches included; `prepare` resizes).
+    /// A work unit is one benchmark on a group of configs that share a
+    /// front end ([`MachineConfig::front_key`]): the unit generates and
+    /// places the benchmark's trace once and times it on every config of
+    /// the group in lockstep ([`oosim::run::run_workload_lockstep`]), so a
+    /// sweep over timing axes pays trace generation, the cache hierarchy
+    /// and the branch predictor once per benchmark instead of once per
+    /// config. Configs with distinct front keys (the paper machines) each
+    /// form a one-config group and run the fused single-machine loop. When
+    /// there are fewer groups than workers, each group's configs are split
+    /// into enough parts to occupy every worker — a choice made from the
+    /// counts alone, never from timing.
+    ///
+    /// Determinism: each record's output slot is assigned *before* any
+    /// worker starts, every workload is independently seeded, and a
+    /// lockstep run is bit-identical to running each config alone, so which
+    /// worker simulates which unit — and which configs share it — can never
+    /// change a single record byte. Each worker reuses one set of
+    /// [`oosim::pipeline::SimScratch`] buffers across all its units.
     fn run_pool(
         &self,
-        items: &[(&MachineConfig, &WorkloadProfile)],
-        workers: usize,
+        configs: &[&MachineConfig],
+        benchmarks: &[&WorkloadProfile],
+        threads: usize,
     ) -> Vec<RunRecord> {
         let warmup = self.warmup.unwrap_or(self.uops);
-        let run_one = |(config, profile): &(&MachineConfig, &WorkloadProfile),
-                       scratch: &mut oosim::pipeline::SimScratch| {
-            oosim::run::run_workload_with(
-                config,
-                profile,
+        // Configs that share a front end, in first-seen order.
+        let mut fronts: Vec<Vec<usize>> = Vec::new();
+        for (m, config) in configs.iter().enumerate() {
+            let key = config.front_key();
+            match fronts.iter_mut().find(|f| configs[f[0]].front_key() == key) {
+                Some(front) => front.push(m),
+                None => fronts.push(vec![m]),
+            }
+        }
+        let items = configs.len() * benchmarks.len();
+        let workers = threads.clamp(1, items.max(1));
+        let parts = workers.div_ceil((fronts.len() * benchmarks.len()).max(1));
+        let mut units: Vec<(usize, &[usize])> = Vec::new();
+        for front in &fronts {
+            for b in 0..benchmarks.len() {
+                units.extend(front.chunks(front.len().div_ceil(parts)).map(|c| (b, c)));
+            }
+        }
+        let run_unit = |&(b, members): &(usize, &[usize]),
+                        scratches: &mut Vec<oosim::pipeline::SimScratch>| {
+            let machines: Vec<&MachineConfig> = members.iter().map(|&m| configs[m]).collect();
+            let records = oosim::run::run_workload_lockstep(
+                &machines,
+                benchmarks[b],
                 warmup,
                 self.uops,
                 self.seed,
-                &mut oosim::observer::NullObserver,
-                scratch,
-            )
+                scratches,
+            );
+            let slots = members.iter().map(|&m| m * benchmarks.len() + b);
+            slots.zip(records).collect::<Vec<(usize, RunRecord)>>()
         };
+        let mut slots: Vec<Option<RunRecord>> = vec![None; items];
         if workers <= 1 {
-            let mut scratch = oosim::pipeline::SimScratch::new();
-            return items
-                .iter()
-                .map(|item| run_one(item, &mut scratch))
-                .collect();
-        }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<RunRecord>> = vec![None; items.len()];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut scratch = oosim::pipeline::SimScratch::new();
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(item) = items.get(i) else {
-                                break done;
-                            };
-                            done.push((i, run_one(item, &mut scratch)));
-                        }
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, record) in join_unwinding(handle) {
-                    slots[i] = Some(record);
+            let mut scratches = Vec::new();
+            for unit in &units {
+                for (slot, record) in run_unit(unit, &mut scratches) {
+                    slots[slot] = Some(record);
                 }
             }
-        });
+        } else {
+            let next = std::sync::atomic::AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut scratches = Vec::new();
+                            let mut done = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                let Some(unit) = units.get(i) else {
+                                    break done;
+                                };
+                                done.extend(run_unit(unit, &mut scratches));
+                            }
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    for (slot, record) in join_unwinding(handle) {
+                        slots[slot] = Some(record);
+                    }
+                }
+            });
+        }
         slots
             .into_iter()
             .map(|r| r.expect("every work item was simulated"))
@@ -532,12 +567,14 @@ impl CounterSource for SimSource {
     }
 
     /// The work-stealing pool: every `(machine, benchmark)` pair of the
-    /// campaign becomes one item in a single flattened work-list shared by
-    /// at most `threads` workers — so the budget never multiplies across
-    /// machines, and no worker idles behind a heavy suite while another
-    /// machine still has benchmarks queued. Output slots are pre-assigned
-    /// in sequential order; see [`SimSource::run_pool`] for why any
-    /// schedule yields byte-identical records.
+    /// campaign is simulated from one shared work-list of (benchmark,
+    /// front-end group) units drained by at most `threads` workers — so
+    /// the budget never multiplies across machines, no worker idles behind
+    /// a heavy suite while another machine still has benchmarks queued,
+    /// and machines that differ only in timing share each trace. Output
+    /// slots are pre-assigned in sequential order; see
+    /// [`SimSource::run_pool`] for why any schedule yields byte-identical
+    /// records.
     fn collect_all(
         &self,
         specs: &[MachineSpec],
@@ -545,17 +582,10 @@ impl CounterSource for SimSource {
     ) -> Vec<Result<Vec<RunRecord>, SourceError>> {
         let suites = self.effective_suites();
         let benchmarks: Vec<&WorkloadProfile> = suites.iter().flatten().collect();
-        // Machine-major, suite-order, benchmark-order: the exact sequential
-        // record order, so machine `m`'s records are the contiguous slot
-        // range starting at its offset.
-        let mut items: Vec<(&MachineConfig, &WorkloadProfile)> = Vec::new();
-        for spec in specs {
-            if let Some(config) = spec.config() {
-                items.extend(benchmarks.iter().map(|&p| (config, p)));
-            }
-        }
-        let workers = threads.clamp(1, items.len().max(1));
-        let mut records = self.run_pool(&items, workers).into_iter();
+        let configs: Vec<&MachineConfig> = specs.iter().filter_map(MachineSpec::config).collect();
+        // Machine-major, suite-order, benchmark-order: machine `m`'s
+        // records are the contiguous slot range starting at its offset.
+        let mut records = self.run_pool(&configs, &benchmarks, threads).into_iter();
         specs
             .iter()
             .map(|spec| {

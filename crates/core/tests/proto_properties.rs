@@ -8,6 +8,7 @@ use memodel::service::auth::TokenRegistry;
 use memodel::service::proto::{
     self, decode_stack_frame, encode_stack_frame, read_frame, LineOutcome, SessionSpec,
 };
+use memodel::service::sweep::{MAX_SWEEP_UOPS, MAX_SWEEP_VARIANTS};
 use memodel::service::{CpiService, ServiceConfig, TenantId};
 use memodel::stack::CpiStack;
 use memodel::FitOptions;
@@ -144,6 +145,39 @@ proptest! {
         );
     }
 
+    /// A sweep over either per-request cap — more grid points than
+    /// `MAX_SWEEP_VARIANTS`, or `uops=` above `MAX_SWEEP_UOPS` — is
+    /// refused in-band with one typed `err:` line naming the cap, before
+    /// anything is simulated.
+    #[test]
+    fn over_cap_sweeps_are_refused_in_band(
+        extra_points in 1usize..64,
+        extra_uops in 1u64..1_000_000_000,
+        over_points in 0u8..2,
+    ) {
+        let (_, spec) = shared();
+        let mut session = spec.session();
+        let (hello_out, _) = run_line(&mut session, &format!("hello {TOKEN}"));
+        prop_assert!(hello_out.ends_with("ok\n"), "{hello_out}");
+        let line = if over_points == 1 {
+            let robs: Vec<String> = (0..MAX_SWEEP_VARIANTS + extra_points)
+                .map(|i| (16 + i).to_string())
+                .collect();
+            format!("sweep core2 cpu2000 rob={} uops=1000", robs.join(","))
+        } else {
+            format!(
+                "sweep core2 cpu2000 rob=64,192 uops={}",
+                MAX_SWEEP_UOPS + extra_uops
+            )
+        };
+        let (out, outcome) = run_line(&mut session, &line);
+        prop_assert_eq!(outcome, LineOutcome::Continue);
+        prop_assert!(
+            out.starts_with("err: ") && out.contains("over the cap") && out.lines().count() == 1,
+            "{out}"
+        );
+    }
+
     /// Any single flipped byte in a valid binary stack frame fails
     /// `read_frame` — never a panic, never a silently different payload.
     #[test]
@@ -228,4 +262,38 @@ fn anonymous_garbage_never_reaches_the_service() {
     );
     assert_eq!(stats.fits, 0);
     assert_eq!(stats.ingested_records, 0);
+}
+
+/// Over-cap sweeps never reach the service: a fresh service sees only the
+/// closing `stats` read, and a sweep at both caps' edges still parses.
+#[test]
+fn over_cap_sweeps_dispatch_nothing() {
+    let service = CpiService::start(ServiceConfig::new().with_workers(1));
+    let mut session = SessionSpec::open(service.client(), FitOptions::quick()).session();
+    let robs: Vec<String> = (0..=MAX_SWEEP_VARIANTS)
+        .map(|i| (16 + i).to_string())
+        .collect();
+    for line in [
+        format!("sweep core2 cpu2000 rob={}", robs.join(",")),
+        format!(
+            "sweep core2 cpu2000 rob={} mshr=4,8 uops=1000",
+            robs[..MAX_SWEEP_VARIANTS / 2 + 1].join(",")
+        ),
+        format!("sweep core2 cpu2000 uops={}", MAX_SWEEP_UOPS + 1),
+        format!("sweep core2 cpu2000 uops={}", u64::MAX),
+    ] {
+        let (out, outcome) = run_line(&mut session, &line);
+        assert!(
+            out.starts_with("err: ") && out.contains("over the cap"),
+            "{out}"
+        );
+        assert_eq!(outcome, LineOutcome::Continue);
+    }
+    let stats = service.client().stats().expect("service alive");
+    assert_eq!(
+        stats.requests, 1,
+        "over-cap sweeps must dispatch zero tasks"
+    );
+    assert_eq!(stats.fits, 0);
+    service.shutdown();
 }

@@ -15,6 +15,17 @@
 //! hierarchy with TLBs; and a DRAM backend with finite MSHRs and bandwidth,
 //! making memory-level parallelism an emergent, machine-bounded quantity.
 //!
+//! Each run has two stages ([`pipeline`]): a *front end* (trace
+//! generation, the cache/TLB hierarchy, the branch predictor) that places
+//! every µop in program order, and a *timing back-end* (dispatch, ROB,
+//! data flow, functional units, MSHRs, DRAM, commit) that turns placed µops
+//! into cycles and counters. Placement never depends on time, so machines
+//! with equal [`MachineConfig::front_key`]s — differing only in timing
+//! fields such as ROB size, MSHRs, dispatch width, latencies or functional
+//! units — can share one front end: [`pipeline::simulate_lockstep`] and
+//! [`run::run_workload_lockstep`] generate and place a trace once and time
+//! it on all of them, bit-identical to separate runs.
+//!
 //! Nothing in the simulator knows about the mechanistic-empirical model
 //! being studied — the model's regression parameters must *discover* the
 //! simulator's behaviour from counters, exactly as the paper's model

@@ -350,6 +350,63 @@ impl MachineConfig {
         config
     }
 
+    /// The placement-relevant part of this configuration: everything the
+    /// trace generator, the cache/TLB hierarchy and the branch predictor
+    /// read. Machines with equal keys place every µop of a trace
+    /// identically, so one front end can feed all of their timing
+    /// back-ends ([`crate::pipeline::simulate_lockstep`]).
+    ///
+    /// The destructuring below names every field with no `..`, so adding a
+    /// field to [`MachineConfig`] fails to compile here until it is
+    /// classified: placement (into the key) or timing (ignored).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use oosim::machine::MachineConfig;
+    ///
+    /// let base = MachineConfig::core2();
+    /// let big_rob = MachineConfig::builder(base.clone()).rob_size(192).build();
+    /// let no_pf = MachineConfig::builder(base.clone()).prefetch_depth(0).build();
+    /// assert_eq!(base.front_key(), big_rob.front_key()); // timing only
+    /// assert_ne!(base.front_key(), no_pf.front_key()); // placement
+    /// ```
+    pub fn front_key(&self) -> FrontKey {
+        let MachineConfig {
+            // Identity and timing: the back-end's business.
+            id: _,
+            name: _,
+            dispatch_width: _,
+            frontend_depth: _,
+            rob_size: _,
+            lat: _,
+            mshrs: _,
+            dram_gap: _,
+            fu: _,
+            // Placement.
+            l1i,
+            l1d,
+            l2,
+            l3,
+            itlb,
+            dtlb,
+            prefetch_depth,
+            predictor,
+            cracking,
+        } = self;
+        FrontKey {
+            l1i: *l1i,
+            l1d: *l1d,
+            l2: *l2,
+            l3: *l3,
+            itlb: *itlb,
+            dtlb: *dtlb,
+            prefetch_depth: *prefetch_depth,
+            predictor: *predictor,
+            cracking: *cracking,
+        }
+    }
+
     /// Starts a builder from this configuration (for ablations and design
     /// sweeps).
     pub fn builder(base: MachineConfig) -> MachineConfigBuilder {
@@ -382,6 +439,22 @@ impl MachineConfig {
         }
         Ok(())
     }
+}
+
+/// The placement-relevant fields of a [`MachineConfig`]: µop cracking, the
+/// caches and TLBs, the prefetcher and the branch predictor (see
+/// [`MachineConfig::front_key`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FrontKey {
+    l1i: CacheGeometry,
+    l1d: CacheGeometry,
+    l2: CacheGeometry,
+    l3: Option<CacheGeometry>,
+    itlb: TlbGeometry,
+    dtlb: TlbGeometry,
+    prefetch_depth: u64,
+    predictor: PredictorConfig,
+    cracking: Cracking,
 }
 
 /// Builder over a base [`MachineConfig`], used by ablation benches to vary
@@ -586,6 +659,29 @@ mod tests {
         assert_eq!(m.l2, MachineConfig::core2().l2);
         assert_eq!(m.lat, MachineConfig::core2().lat);
         m.validate().unwrap();
+    }
+
+    #[test]
+    fn front_key_separates_placement_from_timing() {
+        let variant = |name: &str| MachineConfig::preset(MachineId::variant(name).unwrap());
+        for base in MachineConfig::paper_machines() {
+            let stem = base.id.name();
+            // The timing axes of a sweep share the base's front end.
+            for timing in ["rob192", "mshr4", "dw6", "rob64+mshr32+dw2"] {
+                let config = variant(&format!("{stem}+{timing}"));
+                assert_eq!(config.front_key(), base.front_key(), "{stem}+{timing}");
+            }
+            // The prefetcher places lines: a placement axis.
+            let pf = base.prefetch_depth + 1;
+            let config = variant(&format!("{stem}+pf{pf}"));
+            assert_ne!(config.front_key(), base.front_key(), "{stem}+pf{pf}");
+        }
+        let machines = MachineConfig::paper_machines();
+        for (i, a) in machines.iter().enumerate() {
+            for b in &machines[i + 1..] {
+                assert_ne!(a.front_key(), b.front_key(), "{:?} vs {:?}", a.id, b.id);
+            }
+        }
     }
 
     #[test]

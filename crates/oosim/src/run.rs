@@ -4,7 +4,7 @@
 
 use crate::machine::MachineConfig;
 use crate::observer::{DispatchObserver, NullObserver};
-use crate::pipeline::{simulate_warmed_with, SimResult, SimScratch};
+use crate::pipeline::{simulate_lockstep, simulate_warmed_with, SimResult, SimScratch};
 use pmu::RunRecord;
 use specgen::{TraceGenerator, WorkloadProfile};
 
@@ -113,6 +113,41 @@ pub fn run_workload_with(
         machine.id,
         result.counters,
     )
+}
+
+/// [`run_workload_with`] for several machines that share a front end
+/// ([`MachineConfig::front_key`]): `profile`'s trace is generated and
+/// placed once and timed on every machine in lockstep
+/// ([`simulate_lockstep`]). Record `k` is bit-identical to
+/// `run_workload_with(machines[k], …)` with no observer.
+///
+/// # Panics
+///
+/// Panics if the machines' front keys differ.
+pub fn run_workload_lockstep(
+    machines: &[&MachineConfig],
+    profile: &WorkloadProfile,
+    warmup: u64,
+    uops: u64,
+    seed: u64,
+    scratches: &mut Vec<SimScratch>,
+) -> Vec<RunRecord> {
+    let Some(first) = machines.first() else {
+        return Vec::new();
+    };
+    let trace = TraceGenerator::new(profile, first.cracking, seed);
+    simulate_lockstep(machines, trace, warmup, uops, scratches)
+        .into_iter()
+        .zip(machines)
+        .map(|(result, machine)| {
+            RunRecord::new(
+                profile.name.clone(),
+                profile.suite,
+                machine.id,
+                result.counters,
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,9 +2,11 @@
 //! machine configuration and any well-formed workload.
 
 use oosim::cache::Cache;
-use oosim::machine::{MachineConfig, PredictorConfig};
+use oosim::machine::{Latencies, MachineConfig, PredictorConfig};
 use oosim::observer::{DispatchObserver, NullObserver, StallCause};
-use oosim::pipeline::{simulate, simulate_warmed};
+use oosim::pipeline::{
+    simulate, simulate_lockstep, simulate_warmed, simulate_warmed_with, SimScratch,
+};
 use pmu::{Event, Suite};
 use proptest::prelude::*;
 use specgen::{TraceGenerator, WorkloadProfile};
@@ -33,8 +35,86 @@ fn arb_machine() -> impl Strategy<Value = MachineConfig> {
         })
 }
 
+/// A copy of `base` that differs only in timing fields: ROB, MSHRs,
+/// dispatch width, front-end depth and memory latency.
+fn timing_variant(
+    base: &MachineConfig,
+    (rob, mshrs, width, depth, mem): (usize, usize, u32, u32, u64),
+) -> MachineConfig {
+    let lat = Latencies {
+        mem: base.lat.mem + mem,
+        ..base.lat
+    };
+    MachineConfig::builder(base.clone())
+        .rob_size(rob)
+        .mshrs(mshrs)
+        .dispatch_width(width)
+        .frontend_depth(depth)
+        .latencies(lat)
+        .build()
+}
+
+/// Lockstep results equal each machine's solo run on the same trace,
+/// optionally truncated to `len` µops.
+fn assert_lockstep_matches_solo(
+    machines: &[MachineConfig],
+    profile: &WorkloadProfile,
+    seed: u64,
+    len: Option<usize>,
+    warmup: u64,
+    uops: u64,
+) {
+    let trace =
+        || TraceGenerator::new(profile, machines[0].cracking, seed).take(len.unwrap_or(usize::MAX));
+    let refs: Vec<&MachineConfig> = machines.iter().collect();
+    let lockstep = simulate_lockstep(&refs, trace(), warmup, uops, &mut Vec::new());
+    assert_eq!(lockstep.len(), machines.len());
+    for (machine, result) in machines.iter().zip(&lockstep) {
+        let solo = simulate_warmed_with(
+            machine,
+            trace(),
+            warmup,
+            uops,
+            &mut NullObserver,
+            &mut SimScratch::new(),
+        );
+        assert_eq!(
+            *result, solo,
+            "rob {} mshrs {} width {} warmup {warmup} uops {uops} len {len:?}",
+            machine.rob_size, machine.mshrs, machine.dispatch_width
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Timing-only variants of a preset share its front end, and timing
+    /// them in lockstep on one placed trace reproduces their solo runs
+    /// bit for bit — with or without warm-up, with the warm-up and the
+    /// budget ending at arbitrary µops, and when the trace runs out before
+    /// the budget.
+    #[test]
+    fn lockstep_equals_solo_for_timing_variants(
+        preset in 0usize..3,
+        timings in prop::collection::vec((8usize..256, 1usize..32, 1u32..8, 4u32..40, 0u64..200), 1..5),
+        cold in 0u64..3,
+        warmup in 1u64..1_500,
+        uops in 1u64..3_000,
+        cut in 0usize..6_000,
+        seed in 0u64..100,
+    ) {
+        let base = MachineConfig::paper_machines().swap_remove(preset);
+        let mut machines = vec![base.clone()];
+        machines.extend(timings.into_iter().map(|t| timing_variant(&base, t)));
+        for machine in &machines {
+            prop_assert_eq!(machine.front_key(), base.front_key());
+        }
+        let warmup = if cold == 0 { 0 } else { warmup };
+        let len = (cut < 4_500).then_some(cut);
+        let profile = WorkloadProfile::builder("lockstep", Suite::Cpu2006).fp(0.1).build();
+        assert_lockstep_matches_solo(&machines, &profile, seed, len, warmup, uops);
+    }
 
     /// CPI is bounded below by the dispatch width and counters are
     /// mutually consistent for any machine shape.
@@ -143,6 +223,31 @@ proptest! {
             large.access(a);
         }
         prop_assert!(large.misses() <= small.misses());
+    }
+}
+
+/// The lockstep edge cases, each pinned deterministically: no warm-up, a
+/// warm-up and a budget of odd lengths, and a trace that ends during the
+/// measurement, during the warm-up, or immediately.
+#[test]
+fn lockstep_edge_cases_equal_solo() {
+    let base = MachineConfig::core2();
+    let machines = vec![
+        base.clone(),
+        timing_variant(&base, (192, 32, 6, 14, 0)),
+        timing_variant(&base, (48, 2, 2, 30, 150)),
+    ];
+    let profile = WorkloadProfile::builder("edges", Suite::Cpu2000).build();
+    for (warmup, uops, len) in [
+        (0, 1_024, None),
+        (612, 768, None),
+        (256, 1_287, None),
+        (0, 769, None),
+        (768, 1_024, Some(1_291)),
+        (768, 1_024, Some(128)),
+        (256, 256, Some(0)),
+    ] {
+        assert_lockstep_matches_solo(&machines, &profile, 9, len, warmup, uops);
     }
 }
 

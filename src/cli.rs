@@ -487,12 +487,14 @@ pub struct FitArgs {
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] on unknown subcommands, missing or
-/// malformed flags.
+/// malformed flags, and flags the subcommand does not accept.
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let sub = args
         .first()
         .ok_or_else(|| CliError::Usage("missing subcommand".into()))?;
-    let flags = parse_flags(&args[1..])?;
+    let accepted = accepted_flags(sub)
+        .ok_or_else(|| CliError::Usage(format!("unknown subcommand `{sub}`")))?;
+    let flags = parse_flags(&args[1..], sub, accepted)?;
     let get = |name: &str| -> Result<&str, CliError> {
         flags
             .iter()
@@ -610,7 +612,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             hello: flag_text(&flags, "hello"),
             budget_ms: flag_float(&flags, "budget-ms")?,
         })),
-        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+        other => unreachable!("accepted_flags knows no subcommand `{other}`"),
     }
 }
 
@@ -661,8 +663,92 @@ fn flag_float(flags: &[(String, String)], name: &str) -> Result<Option<f64>, Cli
         .transpose()
 }
 
-/// Splits `--key value` and bare `--flag` pairs.
-fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, CliError> {
+/// The flags `sub` understands (`None` for an unknown subcommand).
+fn accepted_flags(sub: &str) -> Option<&'static [&'static str]> {
+    Some(match sub {
+        "fit" => &["counters", "width", "depth", "l2", "mem", "tlb"],
+        "stack" => &["counters", "width", "depth", "l2", "mem", "tlb", "csv"],
+        "demo" => &["out"],
+        "sweep" => &[
+            "base",
+            "suite",
+            "rob",
+            "mshr",
+            "dw",
+            "pf",
+            "uops",
+            "seed",
+            "benchmarks",
+            "component",
+            "quick",
+            "state-dir",
+            "workers",
+        ],
+        "serve" => &[
+            "workers",
+            "cache",
+            "quick",
+            "listen",
+            "state-dir",
+            "idle-timeout",
+            "max-conns",
+            "fit-threads",
+            "auth",
+            "poll-interval",
+            "engine",
+        ],
+        "cluster" => &[
+            "state-dir",
+            "nodes",
+            "replicas",
+            "listen",
+            "workers",
+            "cache",
+            "quick",
+            "auth",
+            "idle-timeout",
+            "max-conns",
+            "poll-interval",
+            "probe-interval",
+        ],
+        "token" => &["auth-file", "tenant"],
+        "watch" => &[
+            "replay",
+            "machine",
+            "suite",
+            "batch",
+            "rounds",
+            "interval-ms",
+            "jitter",
+            "record",
+            "quick",
+            "uops",
+            "seed",
+            "benchmarks",
+        ],
+        "bench" => &["smoke", "out", "uops", "seed", "threads", "check"],
+        "loadgen" => &[
+            "connect",
+            "conns",
+            "rate",
+            "duration-ms",
+            "mix",
+            "machine",
+            "suite",
+            "hello",
+            "budget-ms",
+        ],
+        _ => return None,
+    })
+}
+
+/// Splits `--key value` and bare `--flag` pairs, rejecting any flag
+/// `sub` does not accept (a typo must not silently change a run).
+fn parse_flags(
+    args: &[String],
+    sub: &str,
+    accepted: &[&str],
+) -> Result<Vec<(String, String)>, CliError> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -670,6 +756,11 @@ fn parse_flags(args: &[String]) -> Result<Vec<(String, String)>, CliError> {
         let key = arg
             .strip_prefix("--")
             .ok_or_else(|| CliError::Usage(format!("expected a --flag, got `{arg}`")))?;
+        if !accepted.contains(&key) {
+            return Err(CliError::Usage(format!(
+                "`{sub}` does not accept `--{key}`"
+            )));
+        }
         if i + 1 < args.len() && !args[i + 1].starts_with("--") {
             out.push((key.to_owned(), args[i + 1].clone()));
             i += 2;
@@ -1400,6 +1491,23 @@ mod tests {
         assert!(err.to_string().contains("unknown subcommand"));
         let err = parse_args(&strings(&[])).unwrap_err();
         assert!(err.to_string().contains("missing subcommand"));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
+        // A typo must not silently shrink a sweep grid or drop a knob.
+        let err = parse_args(&strings(&["sweep", "--mshrs", "8"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)));
+        assert!(err.to_string().contains("--mshrs"), "{err}");
+        let err = parse_args(&strings(&["bench", "--thread", "2"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)));
+        assert!(err.to_string().contains("--thread"), "{err}");
+        // Flags are per subcommand: `--csv` belongs to `stack` only.
+        let err = parse_args(&strings(&["demo", "--csv"])).unwrap_err();
+        assert!(err.to_string().contains("--csv"), "{err}");
+        // The spelled-right versions still parse.
+        parse_args(&strings(&["sweep", "--mshr", "8"])).unwrap();
+        parse_args(&strings(&["bench", "--threads", "2"])).unwrap();
     }
 
     #[test]

@@ -253,8 +253,11 @@
 //! depth over a base machine — instead of one `delta` per hypothetical
 //! config. The grid expands into named variants
 //! (`core2+rob192+mshr32`, …), each **distinct** configuration
-//! simulates exactly once on the work-stealing collect pool, every
-//! variant fits through the shared model cache, and the summary ranks
+//! simulates exactly once on the work-stealing collect pool — variants
+//! that differ only in timing share one front end, so each benchmark's
+//! trace is generated and placed once and timed on all of them in
+//! lockstep — every variant fits through the shared model cache, and
+//! the summary ranks
 //! them: per-variant CPI, delta stacks against the base, and the Pareto
 //! front over (CPI, component-of-interest). Re-sweeping the same grid
 //! simulates and refits nothing:
@@ -447,10 +450,18 @@
 //!
 //! The cold paths are engineered too, and everything parallel is
 //! **bit-identical** to sequential by construction. Campaign collection
-//! drains one shared (machine × benchmark) work-list through a
-//! work-stealing pool ([`Workbench::threads`](workbench::Workbench::threads),
-//! `0` = one worker per core) with pre-assigned output slots, so the
-//! records come back byte-for-byte equal at any worker count. A cold
+//! drains one shared work-list through a work-stealing pool
+//! ([`Workbench::threads`](workbench::Workbench::threads), `0` = one
+//! worker per core) with pre-assigned output slots, so the records come
+//! back byte-for-byte equal at any worker count. A work unit is one
+//! benchmark on the machines that share a front end
+//! ([`MachineConfig::front_key`](sim::MachineConfig::front_key)): its
+//! trace is generated and run through the caches and branch predictor
+//! once, then timed on each of those machines in lockstep. On a 2-vCPU
+//! Xeon VM a simulated µop costs ≈ 75 ns of trace generation, ≈ 20 ns of
+//! placement and ≈ 25–30 ns of timing per machine, so the 8 timing
+//! variants of a sweep collect about 3× faster than one run each; the
+//! paper machines crack µops differently and keep one run each. A cold
 //! fit fans its 13 jittered Nelder–Mead starts across work-stealing
 //! threads ([`FitOptions::threads`](model::FitOptions::threads)) and
 //! splits each objective evaluation into fixed-size chunks reduced in

@@ -5,14 +5,21 @@
 //! collect pool must produce byte-identical record streams at any worker
 //! count; and because thread budgets are invisible to cache keys and
 //! records digests, snapshots persisted under one budget must warm-load
-//! under any other.
+//! under any other. Lockstep collection — one trace timed on every
+//! machine that shares its front end — must match simulating each
+//! (machine, benchmark) pair on its own.
 
-use cpistack::model::workbench::Workbench;
+use cpistack::model::workbench::{CounterSource, MachineSpec, Workbench};
 use cpistack::model::{FitOptions, InferredModel, MicroarchParams};
+use cpistack::service::sweep::{expand, SweepGrid};
 use cpistack::service::{CpiService, ModelKey, ServiceConfig};
 use cpistack::sim::machine::MachineConfig;
+use cpistack::sim::observer::NullObserver;
+use cpistack::sim::pipeline::SimScratch;
+use cpistack::sim::run::run_workload_with;
+use cpistack::workloads::WorkloadProfile;
 use cpistack::SimSource;
-use pmu::{RunRecord, Suite};
+use pmu::{MachineId, RunRecord, Suite};
 
 const UOPS: u64 = 6_000;
 const SEED: u64 = 2024;
@@ -96,6 +103,88 @@ fn work_stealing_collect_is_byte_identical_at_any_worker_count() {
             "threads={threads}: pooled collect must be byte-identical to sequential"
         );
     }
+}
+
+/// Every `(machine, benchmark)` pair simulated on its own, machine-major:
+/// the reference the lockstep pool must reproduce.
+fn per_item_records(
+    machines: &[MachineConfig],
+    profiles: &[WorkloadProfile],
+    uops: u64,
+) -> Vec<RunRecord> {
+    let mut scratch = SimScratch::new();
+    machines
+        .iter()
+        .flat_map(|machine| profiles.iter().map(move |profile| (machine, profile)))
+        .map(|(machine, profile)| {
+            run_workload_with(
+                machine,
+                profile,
+                uops,
+                uops,
+                SEED,
+                &mut NullObserver,
+                &mut scratch,
+            )
+        })
+        .collect()
+}
+
+/// Collects `machines` through the pool at each worker count and checks
+/// the records against per-item simulation.
+fn assert_pool_matches_per_item(machines: &[MachineConfig], profiles: Vec<WorkloadProfile>) {
+    const UOPS: u64 = 1_500;
+    let expected = per_item_records(machines, &profiles, UOPS);
+    let source = SimSource::new().suite(profiles).uops(UOPS).seed(SEED);
+    let specs: Vec<MachineSpec> = machines.iter().map(MachineSpec::from).collect();
+    for threads in [1, 2, 8] {
+        let records: Vec<RunRecord> = source
+            .collect_all(&specs, threads)
+            .into_iter()
+            .flat_map(|r| r.expect("configured machines collect"))
+            .collect();
+        assert_eq!(records.len(), expected.len(), "threads={threads}");
+        assert_eq!(
+            records_digest(&records),
+            records_digest(&expected),
+            "threads={threads}: pooled collect must be byte-identical to per-item simulation"
+        );
+    }
+}
+
+#[test]
+fn lockstep_sweep_collect_matches_per_item_simulation() {
+    // rob × mshr × dw × pf: the pf axis splits the grid into two front
+    // keys, so the pool runs two lockstep groups per benchmark.
+    let grid = SweepGrid::new()
+        .rob([64, 192])
+        .mshrs([8, 32])
+        .dispatch([2, 6])
+        .prefetch([0, 4]);
+    let machines: Vec<MachineConfig> = expand(MachineId::Core2, &grid)
+        .expect("a valid grid")
+        .into_iter()
+        .map(|v| v.config)
+        .collect();
+    assert_eq!(machines.len(), 16);
+    let profiles = cpistack::workloads::suites::cpu2000()
+        .into_iter()
+        .take(5)
+        .collect();
+    assert_pool_matches_per_item(&machines, profiles);
+}
+
+#[test]
+fn paper_campaign_collect_matches_per_item_simulation() {
+    // The paper machines crack differently, so each (machine, benchmark)
+    // is a one-machine group on the fused path.
+    let machines = MachineConfig::paper_machines();
+    let profiles = cpistack::workloads::suites::cpu2000()
+        .into_iter()
+        .take(4)
+        .chain(cpistack::workloads::suites::cpu2006().into_iter().take(4))
+        .collect();
+    assert_pool_matches_per_item(&machines, profiles);
 }
 
 #[test]
