@@ -1103,7 +1103,8 @@ struct Inner {
     /// of it). Workers clone the (cheap) handle out of the lock and do
     /// every file read/write outside it.
     persist: Option<SnapshotStore>,
-    /// Deployment-wide cap on per-regression thread fan-out.
+    /// Deployment-wide cold-compute budget override: the thread count of
+    /// every regression fan-out and sweep collection (see [`cold_threads`]).
     fit_threads: Option<usize>,
     /// Streaming refit policy (drift guard + budgets), deployment-wide.
     refit: RefitPolicy,
@@ -1191,13 +1192,15 @@ pub struct ServiceConfig {
     /// under this directory and are restored lazily on cache misses — a
     /// restarted service warms up without refitting (see [`persist`]).
     pub state_dir: Option<std::path::PathBuf>,
-    /// When set, overrides every fit request's
-    /// [`FitOptions::threads`] budget on the worker — the deployment's
-    /// cap on regression fan-out. Total regression threads are bounded by
-    /// `workers × fit_threads` (each shard fits one model at a time), so
-    /// a service with many shards typically wants a small per-fit budget
-    /// and vice versa. Scheduling only: fitted bits never depend on it,
-    /// and it is invisible to cache keys and persisted snapshots.
+    /// The cold-compute budget. When set, it is the thread count of every
+    /// cold job a worker runs — each regression's multi-start fan-out
+    /// *and* each sweep's simulation collect pool — overriding the
+    /// request's [`FitOptions::threads`] (which decides when unset; `0`
+    /// = one thread per core). Each shard runs one cold job at a time,
+    /// so peak cold threads ≈ `workers × budget`: a service with many
+    /// shards typically wants a small budget and vice versa. Scheduling
+    /// only: fitted bits and simulated records never depend on it, and
+    /// it is invisible to cache keys and persisted snapshots.
     pub fit_threads: Option<usize>,
     /// Streaming refit policy: warm-start budget, drift bound and full-
     /// refit cadence for [`Request::Refit`].
@@ -1320,9 +1323,10 @@ impl ServiceConfig {
         self
     }
 
-    /// Caps the multi-start thread budget of every regression run by this
-    /// service's workers (minimum 1), overriding whatever the request's
-    /// [`FitOptions::threads`] says. See [`ServiceConfig::fit_threads`].
+    /// Sets the cold-compute budget (minimum 1): the thread count of every
+    /// regression fan-out and sweep collection this service's workers
+    /// run, overriding whatever the request's [`FitOptions::threads`]
+    /// says. See [`ServiceConfig::fit_threads`].
     pub fn with_fit_threads(mut self, threads: usize) -> Self {
         self.fit_threads = Some(threads.max(1));
         self
@@ -2542,6 +2546,19 @@ fn suite_profiles(suite: Suite) -> Vec<specgen::profile::WorkloadProfile> {
     }
 }
 
+/// The service's one compute budget for cold work: the thread count of
+/// a regression fan-out and of a sweep's simulation collect pool alike.
+/// The deployment override ([`ServiceConfig::fit_threads`]) wins;
+/// without one, the request's own [`FitOptions::threads`] decides (`0` =
+/// one thread per core). Never 0. Scheduling only — fitted bits and
+/// collected records are identical at every budget. Resolve it on a
+/// cold path only: with no override it asks the OS for the core count.
+fn cold_threads(fit_threads: Option<usize>, options: &FitOptions) -> usize {
+    fit_threads
+        .unwrap_or_else(|| options.effective_threads())
+        .max(1)
+}
+
 /// The collection phase of a sweep: expand the grid and make sure the
 /// base and every variant hold records for the spec's suite, simulating
 /// only what is missing. Returns `(distinct configs simulated, traces
@@ -2580,7 +2597,7 @@ fn sweep_ensure_variants(
             configs.push(variant.config.clone());
         }
     }
-    let (need, base_benchmarks, workers) = {
+    let (need, base_benchmarks, fit_threads) = {
         let guard = lock(inner);
         let tenant_state = guard.tenant(tenant);
         let has_records = |id: MachineId| {
@@ -2608,7 +2625,7 @@ fn sweep_ensure_variants(
                     .collect()
             })
             .unwrap_or_default();
-        (need, base_benchmarks, guard.workers)
+        (need, base_benchmarks, guard.fit_threads)
     };
     if need.is_empty() {
         return Ok((0, 0));
@@ -2634,7 +2651,7 @@ fn sweep_ensure_variants(
         .uops(spec.uops)
         .seed(spec.seed);
     let specs: Vec<MachineSpec> = need.iter().map(MachineSpec::from).collect();
-    let results = source.collect_all(&specs, workers);
+    let results = source.collect_all(&specs, cold_threads(fit_threads, &spec.options));
     let mut runs = 0;
     let mut guard = lock(inner);
     let state = guard.tenant_mut(tenant);
@@ -2841,10 +2858,8 @@ fn fit_key(
     // The deployment cap on regression fan-out applies here, after the
     // cache key was formed: thread budgets never split keys (they cannot
     // change the fitted bits).
-    let options = match fit_threads {
-        Some(threads) => key.options.clone().with_threads(threads),
-        None => key.options.clone(),
-    };
+    let threads = cold_threads(fit_threads, &key.options);
+    let options = key.options.clone().with_threads(threads);
     let fit_start = Instant::now();
     let (model, profile) =
         InferredModel::fit_profiled(&arch, &records, &options).map_err(|error| {
@@ -3031,10 +3046,8 @@ fn refit_key(
         return Ok((report(model, false), RefitMode::Incremental));
     }
     // Full fan-out: fit, re-anchor, persist.
-    let options = match fit_threads {
-        Some(threads) => key.options.clone().with_threads(threads),
-        None => key.options.clone(),
-    };
+    let threads = cold_threads(fit_threads, &key.options);
+    let options = key.options.clone().with_threads(threads);
     let fit_start = Instant::now();
     let (model, profile) =
         InferredModel::fit_profiled(&arch, &records, &options).map_err(fit_error)?;
@@ -3104,6 +3117,18 @@ mod tests {
             .expect("register");
         client.ingest(core2_records(12, 3_000, 7)).expect("ingest");
         (service, client)
+    }
+
+    #[test]
+    fn cold_threads_prefers_the_override_and_is_never_zero() {
+        let per_core = FitOptions::quick().with_threads(0);
+        let three = FitOptions::quick().with_threads(3);
+        assert_eq!(cold_threads(Some(2), &three), 2, "the override wins");
+        assert_eq!(cold_threads(Some(5), &per_core), 5);
+        assert_eq!(cold_threads(None, &three), three.effective_threads());
+        assert_eq!(cold_threads(None, &per_core), per_core.effective_threads());
+        assert_eq!(cold_threads(Some(0), &three), 1, "never 0");
+        assert!(cold_threads(None, &per_core) >= 1);
     }
 
     #[test]

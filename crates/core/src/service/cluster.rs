@@ -600,25 +600,36 @@ fn frame_len(line: &[u8]) -> Option<usize> {
     rest.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Extracts the hex payload of a successful `pullsnap` response.
-fn snapshot_hex(resp: &[u8]) -> Option<&str> {
-    if !resp.ends_with(b"ok\n") {
+/// The payload line of a successful one-line reply (`<line>\nok\n`, as
+/// `pullsnap` and `pullrecs` answer); `None` for anything else.
+fn single_line(resp: &[u8]) -> Option<&str> {
+    let line = resp.strip_suffix(b"\nok\n")?;
+    if line.contains(&b'\n') {
         return None;
     }
-    let first = resp.split(|b| *b == b'\n').next()?;
-    std::str::from_utf8(first).ok()?.strip_prefix("snapshot ")
+    std::str::from_utf8(line).ok()
+}
+
+/// Non-empty, even-length hex — what [`proto::hex_decode`] accepts.
+fn is_hex(text: &str) -> bool {
+    !text.is_empty() && text.len().is_multiple_of(2) && text.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
+/// Extracts the hex payload of a successful `pullsnap` response.
+fn snapshot_hex(resp: &[u8]) -> Option<&str> {
+    let hex = single_line(resp)?.strip_prefix("snapshot ")?;
+    is_hex(hex).then_some(hex)
 }
 
 /// Extracts the `(hex-arch, hex-csv)` payload of a successful
-/// `pullrecs` response.
+/// `pullrecs` response (`records <machine> <hex-arch> <hex-csv>`).
 fn records_payload(resp: &[u8]) -> Option<(String, String)> {
-    if !resp.ends_with(b"ok\n") {
+    let rest = single_line(resp)?.strip_prefix("records ")?;
+    let [_machine, arch, csv] = rest.split(' ').collect::<Vec<_>>()[..] else {
         return None;
-    }
-    let first = resp.split(|b| *b == b'\n').next()?;
-    let rest = std::str::from_utf8(first).ok()?.strip_prefix("records ")?;
-    let mut fields = rest.split_whitespace().skip(1);
-    Some((fields.next()?.to_owned(), fields.next()?.to_owned()))
+    };
+    // Five raw f64s: 40 bytes, 80 hex digits.
+    (arch.len() == 80 && is_hex(arch) && is_hex(csv)).then(|| (arch.to_owned(), csv.to_owned()))
 }
 
 /// Parses just enough of a client `sweep` line to partition it across
@@ -674,32 +685,53 @@ struct SweptVariant {
 
 /// Splits a backend's sweep response into its variant lines and the
 /// summary's simulated-work counters. `Err` carries the backend's own
-/// `err:` message — the whole slice failed with those exact words.
-fn parse_sweep_response(resp: &[u8]) -> Result<(Vec<SweptVariant>, u64, u64), String> {
-    let text = String::from_utf8_lossy(resp);
+/// `err:` message — the whole slice failed with those exact words — or
+/// names a truncated or garbled reply, which fails the slice the same
+/// way rather than silently dropping variants.
+fn parse_sweep_response(resp: &[u8]) -> Result<(Vec<SweptVariant>, usize, usize), String> {
+    let garbled = |line: &str| format!("garbled sweep reply line `{line}`");
+    let text = std::str::from_utf8(resp).map_err(|_| "sweep reply is not UTF-8".to_owned())?;
+    if let Some(message) = text.lines().find_map(|line| line.strip_prefix("err: ")) {
+        return Err(message.to_owned());
+    }
+    let body = text
+        .strip_suffix("ok\n")
+        .filter(|body| body.is_empty() || body.ends_with('\n'))
+        .ok_or_else(|| "truncated sweep reply".to_owned())?;
     let mut variants = Vec::new();
-    let (mut configs, mut runs) = (0u64, 0u64);
-    for line in text.lines() {
-        if let Some(message) = line.strip_prefix("err: ") {
-            return Err(message.to_owned());
-        }
-        let w: Vec<&str> = line.split_whitespace().collect();
-        if w.first() == Some(&"variant") && w.len() == 12 {
-            let (Ok(cpi), Ok(component)) = (w[3].parse::<f64>(), w[5].parse::<f64>()) else {
-                continue;
-            };
-            variants.push(SweptVariant {
-                name: w[1].to_owned(),
-                raw: line.to_owned(),
-                cpi,
-                component,
-                cached: w[11] == "hit",
-            });
-        } else if w.first() == Some(&"sweep:") && w.len() == 8 {
-            configs = w[5].parse().unwrap_or(0);
-            runs = w[7].parse().unwrap_or(0);
+    let mut summary = None;
+    for line in body.lines() {
+        let w: Vec<&str> = line.split(' ').collect();
+        match w[0] {
+            "variant" if w.len() == 12 => {
+                let (Ok(cpi), Ok(component)) = (w[3].parse::<f64>(), w[5].parse::<f64>()) else {
+                    return Err(garbled(line));
+                };
+                let cached = match w[11] {
+                    "hit" => true,
+                    "miss" => false,
+                    _ => return Err(garbled(line)),
+                };
+                variants.push(SweptVariant {
+                    name: w[1].to_owned(),
+                    raw: line.to_owned(),
+                    cpi,
+                    component,
+                    cached,
+                });
+            }
+            // Recomputed over the merged slices.
+            "pareto" => {}
+            "sweep:" if w.len() == 8 && summary.is_none() => {
+                let (Ok(configs), Ok(runs)) = (w[5].parse(), w[7].parse()) else {
+                    return Err(garbled(line));
+                };
+                summary = Some((configs, runs));
+            }
+            _ => return Err(garbled(line)),
         }
     }
+    let (configs, runs) = summary.ok_or_else(|| "truncated sweep reply".to_owned())?;
     Ok((variants, configs, runs))
 }
 
@@ -1181,7 +1213,7 @@ impl<'a> ProxySession<'a> {
         }
         self.focus = groups.first().map(|(node, _)| node.name.clone());
         let mut results: Vec<Option<SweptVariant>> = variants.iter().map(|_| None).collect();
-        let (mut configs, mut runs) = (0u64, 0u64);
+        let (mut configs, mut runs) = (0, 0);
         let mut lost: Vec<String> = Vec::new();
         let mut lost_detail = String::new();
         for (node, ids) in groups {
@@ -1252,12 +1284,7 @@ impl<'a> ProxySession<'a> {
             .into_iter()
             .map(|k| variants[served[k].0].name())
             .collect();
-        writeln!(out, "pareto {}", front.join(" "))?;
-        writeln!(
-            out,
-            "sweep: variants {} simulated configs {configs} runs {runs}",
-            served.len()
-        )?;
+        proto::write_sweep_tail(out, &front, served.len(), configs, runs)?;
         if lost.is_empty() {
             writeln!(out, "ok")?;
             Ok(ProxyOutcome::Continue)
@@ -1641,6 +1668,10 @@ fn proxy_connection_loop(
                 writeln!(output, "err: idle timeout — closing connection")?;
                 return output.flush();
             }
+            LineEvent::TooLong => {
+                output.write_all(poller::line_too_long().as_bytes())?;
+                return output.flush();
+            }
             LineEvent::Error(e) => return Err(e),
         }
     }
@@ -2006,5 +2037,185 @@ mod tests {
         assert_eq!(trim_line(b"ok\r\n"), b"ok");
         assert_eq!(snapshot_hex(b"snapshot deadbeef\nok\n"), Some("deadbeef"));
         assert_eq!(snapshot_hex(b"err: no snapshot\n"), None);
+    }
+
+    // -- The router's reply parsers against the node's own renderers --
+
+    use super::sweep::{StackComponent, SweepVariantResult};
+    use crate::delta::{DeltaStacks, OverallDelta};
+    use crate::params::MicroarchParams;
+    use pmu::RunRecord;
+    use proptest::prelude::*;
+
+    /// One `variant` result per `(cpi, component, delta, cached)` draw,
+    /// named `core2+rob<64+i>`.
+    fn variant_results(draws: &[(f64, f64, f64, u8)]) -> Vec<SweepVariantResult> {
+        draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(cpi, component, delta, cached))| SweepVariantResult {
+                id: MachineId::variant(&format!("core2+rob{}", 64 + i)).expect("variant name"),
+                cpi,
+                component,
+                delta: DeltaStacks {
+                    overall: OverallDelta {
+                        width: delta,
+                        ..OverallDelta::default()
+                    },
+                    ..DeltaStacks::default()
+                },
+                cached: cached % 2 == 1,
+                benchmarks: 12 + i,
+            })
+            .collect()
+    }
+
+    /// A node's full `sweep` reply for `results`, `ok` included.
+    fn sweep_reply(results: &[SweepVariantResult], configs: usize, runs: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for v in results {
+            proto::write_sweep_variant(&mut out, v, StackComponent::LlcD).unwrap();
+        }
+        let front: Vec<&str> = results.iter().take(1).map(|v| v.id.name()).collect();
+        proto::write_sweep_tail(&mut out, &front, results.len(), configs, runs).unwrap();
+        out.extend_from_slice(b"ok\n");
+        out
+    }
+
+    /// A node's full `pullrecs` reply, `ok` included.
+    fn records_reply(arch: &MicroarchParams, records: &[RunRecord]) -> Vec<u8> {
+        let mut out = Vec::new();
+        proto::write_records(&mut out, MachineId::Core2, arch, records).unwrap();
+        out.extend_from_slice(b"ok\n");
+        out
+    }
+
+    fn sample_records(counters: &[u64]) -> Vec<RunRecord> {
+        counters
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let mut set = pmu::CounterSet::new();
+                for (k, event) in pmu::Event::ALL.into_iter().enumerate() {
+                    set.set(event, c.wrapping_mul(k as u64 + 1));
+                }
+                RunRecord::new(format!("bench.{i}"), Suite::Cpu2000, MachineId::Core2, set)
+            })
+            .collect()
+    }
+
+    /// Overwrites byte `at % len` of `reply` with `byte`.
+    fn garble(reply: &[u8], at: usize, byte: u8) -> Vec<u8> {
+        let mut bad = reply.to_vec();
+        let at = at % bad.len();
+        bad[at] = byte;
+        bad
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Node sweep output parses back to what was rendered; every
+        /// strict prefix is refused; one garbled byte never panics.
+        #[test]
+        fn sweep_replies_round_trip_and_truncations_fail(
+            draws in prop::collection::vec((0.1f64..40.0, 0.0f64..5.0, -9.0f64..9.0, 0u8..2), 0..6),
+            configs in 0usize..100,
+            runs in 0usize..5_000,
+            at in 0usize..4_096,
+            byte in 0u8..255,
+        ) {
+            let results = variant_results(&draws);
+            let reply = sweep_reply(&results, configs, runs);
+            let (parsed, c, r) = parse_sweep_response(&reply).expect("well-formed reply");
+            prop_assert_eq!((c, r), (configs, runs));
+            prop_assert_eq!(parsed.len(), results.len());
+            let text = String::from_utf8(reply.clone()).unwrap();
+            for ((p, v), line) in parsed.iter().zip(&results).zip(text.lines()) {
+                prop_assert_eq!(p.name.as_str(), v.id.name());
+                prop_assert_eq!(p.raw.as_str(), line);
+                prop_assert_eq!(p.cpi, format!("{:.4}", v.cpi).parse::<f64>().unwrap());
+                prop_assert_eq!(p.component, format!("{:.4}", v.component).parse::<f64>().unwrap());
+                prop_assert_eq!(p.cached, v.cached);
+            }
+            for cut in 0..reply.len() {
+                prop_assert!(parse_sweep_response(&reply[..cut]).is_err(), "prefix {cut} parsed");
+            }
+            let _ = parse_sweep_response(&garble(&reply, at, byte));
+            prop_assert!(parse_sweep_response(&garble(&reply, at, 0xff)).is_err());
+        }
+
+        /// Node `pullrecs` output parses back to the exact arch bits and
+        /// records; truncations and non-hex bytes are refused.
+        #[test]
+        fn records_replies_round_trip_and_truncations_fail(
+            counters in prop::collection::vec(0u64..u64::MAX, 1..8),
+            constants in (0.5f64..8.0, 1.0f64..40.0, 1.0f64..40.0, 50.0f64..500.0, 1.0f64..90.0),
+            at in 0usize..65_536,
+            byte in 0u8..255,
+        ) {
+            let (width, depth, l2, mem, tlb) = constants;
+            let arch = MicroarchParams::new(width, depth, l2, mem, tlb);
+            let records = sample_records(&counters);
+            let reply = records_reply(&arch, &records);
+            let (arch_hex, csv_hex) = records_payload(&reply).expect("well-formed reply");
+            let bits: Vec<u8> = [width, depth, l2, mem, tlb]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            prop_assert_eq!(proto::hex_decode(&arch_hex), Some(bits));
+            let csv = String::from_utf8(proto::hex_decode(&csv_hex).unwrap()).unwrap();
+            prop_assert_eq!(pmu::csv::from_csv(&csv).unwrap(), records);
+            for cut in 0..reply.len() {
+                prop_assert!(records_payload(&reply[..cut]).is_none(), "prefix {cut} parsed");
+            }
+            let _ = records_payload(&garble(&reply, at, byte));
+            let payload_at = "records core2 ".len() + at % (reply.len() - 3 - "records core2 ".len());
+            prop_assert!(records_payload(&garble(&reply, payload_at, b'g')).is_none());
+        }
+
+        /// Node `pullsnap` output parses back to the snapshot bytes;
+        /// truncations and non-hex bytes are refused.
+        #[test]
+        fn snapshot_replies_round_trip_and_truncations_fail(
+            bytes in prop::collection::vec(0u8..255, 1..300),
+            at in 0usize..4_096,
+            byte in 0u8..255,
+        ) {
+            let mut reply = Vec::new();
+            proto::write_snapshot(&mut reply, &bytes).unwrap();
+            reply.extend_from_slice(b"ok\n");
+            let hex = snapshot_hex(&reply).expect("well-formed reply");
+            prop_assert_eq!(proto::hex_decode(hex), Some(bytes.clone()));
+            for cut in 0..reply.len() {
+                prop_assert!(snapshot_hex(&reply[..cut]).is_none(), "prefix {cut} parsed");
+            }
+            let _ = snapshot_hex(&garble(&reply, at, byte));
+            let payload_at = "snapshot ".len() + at % (2 * bytes.len());
+            prop_assert!(snapshot_hex(&garble(&reply, payload_at, b'z')).is_none());
+        }
+    }
+
+    #[test]
+    fn backend_errors_and_stray_lines_fail_the_sweep_slice() {
+        let results = variant_results(&[(1.0, 0.5, 0.1, 0)]);
+        let mut reply = sweep_reply(&results, 1, 12);
+        assert!(parse_sweep_response(&reply).is_ok());
+        assert_eq!(
+            parse_sweep_response(b"variant core2 cpi 1.0000 llc_d 0.1000 delta +0.0000 benchmarks 1 cache hit\nerr: boom\n")
+                .err(),
+            Some("boom".to_owned())
+        );
+        reply.splice(0..0, b"stray\n".iter().copied());
+        assert!(parse_sweep_response(&reply).is_err());
+        assert!(parse_sweep_response(b"ok\n").is_err(), "no summary line");
+        let two_lines = b"snapshot 00\nsnapshot 11\nok\n";
+        assert_eq!(snapshot_hex(two_lines), None);
+        assert_eq!(snapshot_hex(b"snapshot 0\nok\n"), None, "odd-length hex");
+        assert_eq!(
+            records_payload(b"records core2 00 11\nok\n"),
+            None,
+            "short arch"
+        );
     }
 }

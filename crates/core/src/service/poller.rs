@@ -566,6 +566,82 @@ const IDLE: &[u8] = "err: idle timeout — closing connection\n".as_bytes();
 /// Deterministic over-cap rejection.
 const BUSY: &[u8] = b"err: busy\n";
 
+/// Longest request line either TCP front accepts, newline excluded.
+/// The largest line the cluster itself sends is the router's `pushrecs
+/// <machine> <hex-arch> <hex-csv>` for a full 103-benchmark campaign:
+/// 22 558 bytes measured for a 1 M-µop Core 2 campaign, and 82 014
+/// bytes at the worst case — the longest variant machine name and every
+/// counter at its 20-digit maximum — so the cap sits 12× above the worst
+/// case. A longer line, or a newline-free stream that outgrows the cap,
+/// is answered with [`line_too_long`] and the connection closes: a
+/// connection's input buffer never holds much more than the cap.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// In-band farewell for a line over [`MAX_LINE_BYTES`].
+pub(crate) fn line_too_long() -> String {
+    format!("err: line longer than {MAX_LINE_BYTES} bytes — closing connection\n")
+}
+
+/// What a connection's buffered input holds next.
+pub(crate) enum NextLine {
+    /// One line, its newline (and any `\r` before it) stripped.
+    Line(Vec<u8>),
+    /// A partial line: read more.
+    Pending,
+    /// The next line already runs past [`MAX_LINE_BYTES`].
+    TooLong,
+}
+
+/// A connection's inbound bytes, cut into lines. Each byte is searched
+/// for a newline once, however many reads a long line arrives in.
+#[derive(Default)]
+pub(crate) struct LineBuf {
+    bytes: Vec<u8>,
+    /// Length of the newline-free prefix of `bytes` already searched.
+    scanned: usize,
+}
+
+impl LineBuf {
+    pub(crate) fn extend(&mut self, chunk: &[u8]) {
+        self.bytes.extend_from_slice(chunk);
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Takes the next line. At `eof` an unterminated tail still counts
+    /// as a line, like `BufRead::lines` on the stdio front.
+    pub(crate) fn take(&mut self, eof: bool) -> NextLine {
+        let newline = self.bytes[self.scanned..]
+            .iter()
+            .position(|b| *b == b'\n')
+            .map(|i| self.scanned + i);
+        if newline.unwrap_or(self.bytes.len()) > MAX_LINE_BYTES {
+            return NextLine::TooLong;
+        }
+        match newline {
+            Some(pos) => {
+                self.scanned = 0;
+                let mut line: Vec<u8> = self.bytes.drain(..=pos).collect();
+                line.pop(); // the newline
+                if line.last() == Some(&b'\r') {
+                    line.pop();
+                }
+                NextLine::Line(line)
+            }
+            None if eof && !self.bytes.is_empty() => {
+                self.scanned = 0;
+                NextLine::Line(std::mem::take(&mut self.bytes))
+            }
+            None => {
+                self.scanned = self.bytes.len();
+                NextLine::Pending
+            }
+        }
+    }
+}
+
 /// How long after stop the loop keeps draining unflushed farewells
 /// before abandoning slow clients.
 const DRAIN_GRACE: Duration = Duration::from_secs(1);
@@ -578,7 +654,7 @@ const READ_BURST: usize = 16;
 struct Conn<H> {
     stream: TcpStream,
     handler: H,
-    in_buf: Vec<u8>,
+    in_buf: LineBuf,
     out: Vec<u8>,
     /// Bytes of `out` already written.
     sent: usize,
@@ -758,7 +834,7 @@ fn accept_burst<H, F>(
                 let mut conn = Conn {
                     stream,
                     handler: new_handler(),
-                    in_buf: Vec::new(),
+                    in_buf: LineBuf::default(),
                     out,
                     sent: 0,
                     eof: false,
@@ -797,7 +873,7 @@ fn read_burst<H>(conn: &mut Conn<H>) -> bool {
                 return true;
             }
             Ok(n) => {
-                conn.in_buf.extend_from_slice(&chunk[..n]);
+                conn.in_buf.extend(&chunk[..n]);
                 conn.last_activity = Instant::now();
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
@@ -811,23 +887,21 @@ fn read_burst<H>(conn: &mut Conn<H>) -> bool {
 /// Dispatches every complete buffered line (and, at EOF, the trailing
 /// unterminated line — matching `BufRead::lines` on the stdio front).
 /// Pipelined input after `quit`/`shutdown` is discarded, as in the
-/// threaded front.
+/// threaded front; so is everything after an over-long line.
 fn drain_lines<H>(conn: &mut Conn<H>, stop: &AtomicBool)
 where
     H: FnMut(&str, &mut Vec<u8>) -> io::Result<Dispatch>,
 {
     while !conn.closing {
-        let line = match conn.in_buf.iter().position(|b| *b == b'\n') {
-            Some(pos) => {
-                let mut line: Vec<u8> = conn.in_buf.drain(..=pos).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                line
+        let line = match conn.in_buf.take(conn.eof) {
+            NextLine::Line(line) => line,
+            NextLine::Pending => break,
+            NextLine::TooLong => {
+                conn.out.extend_from_slice(line_too_long().as_bytes());
+                conn.closing = true;
+                conn.in_buf = LineBuf::default();
+                break;
             }
-            None if conn.eof && !conn.in_buf.is_empty() => std::mem::take(&mut conn.in_buf),
-            None => break,
         };
         let text = String::from_utf8_lossy(&line).into_owned();
         match (conn.handler)(&text, &mut conn.out) {

@@ -69,8 +69,8 @@
 
 use super::auth::TokenRegistry;
 use super::persist::fnv64;
-use super::poller::{self, Dispatch, LoopConfig, Poller, ServeBackend};
-use super::sweep::{SweepGrid, SweepSpec};
+use super::poller::{self, Dispatch, LineBuf, LoopConfig, NextLine, Poller, ServeBackend};
+use super::sweep::{StackComponent, SweepGrid, SweepSpec, SweepVariantResult};
 use super::{
     CpiClient, ModelKey, RefitMode, Request, Response, ServiceConfig, ServiceError, TenantId,
 };
@@ -757,17 +757,7 @@ fn run_command(
             let mut summary = None;
             for response in stream {
                 match response {
-                    Response::SweepVariant(v) => writeln!(
-                        output,
-                        "variant {} cpi {:.4} {} {:.4} delta {:+.4} benchmarks {} cache {}",
-                        v.id.name(),
-                        v.cpi,
-                        component,
-                        v.component,
-                        v.delta.overall.total(),
-                        v.benchmarks,
-                        if v.cached { "hit" } else { "miss" }
-                    )?,
+                    Response::SweepVariant(v) => write_sweep_variant(output, &v, component)?,
                     Response::SweepSummary(s) => summary = Some(*s),
                     Response::Error(e) => return Err(e.into()),
                     _ => {}
@@ -775,13 +765,12 @@ fn run_command(
             }
             let summary = summary.ok_or(ServiceError::Stopped)?;
             let front: Vec<&str> = summary.pareto.iter().map(|id| id.name()).collect();
-            writeln!(output, "pareto {}", front.join(" "))?;
-            writeln!(
+            write_sweep_tail(
                 output,
-                "sweep: variants {} simulated configs {} runs {}",
+                &front,
                 summary.results.len(),
                 configs + summary.simulated_configs,
-                runs + summary.simulated_runs
+                runs + summary.simulated_runs,
             )?;
         }
         "stats" => {
@@ -843,7 +832,7 @@ fn run_command(
                     words[1], words[2]
                 )));
             };
-            writeln!(output, "snapshot {}", hex_encode(&bytes))?;
+            write_snapshot(output, &bytes)?;
         }
         "pushsnap" => {
             arity(1, "pushsnap <hex-snapshot>")?;
@@ -864,18 +853,7 @@ fn run_command(
             arity(1, "pullrecs <machine>")?;
             let machine = parse_machine(words[1])?;
             let (arch, records) = client.export_records(machine)?;
-            let mut arch_bytes = Vec::with_capacity(40);
-            for v in [arch.width, arch.fe_depth, arch.c_l2, arch.c_mem, arch.c_tlb] {
-                arch_bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            let csv = pmu::csv::to_csv(&records);
-            writeln!(
-                output,
-                "records {} {} {}",
-                machine.name(),
-                hex_encode(&arch_bytes),
-                hex_encode(csv.as_bytes())
-            )?;
+            write_records(output, machine, &arch, &records)?;
         }
         "pushrecs" => {
             arity(3, "pushrecs <machine> <hex-arch> <hex-csv>")?;
@@ -915,6 +893,71 @@ fn run_command(
         }
     }
     Ok(())
+}
+
+// The node-side renderers of the replies the cluster router reads back
+// (its parsers in `cluster` are property-tested against these).
+
+/// Writes one streamed `variant …` line of a `sweep` reply.
+pub(crate) fn write_sweep_variant(
+    output: &mut impl Write,
+    v: &SweepVariantResult,
+    component: StackComponent,
+) -> std::io::Result<()> {
+    writeln!(
+        output,
+        "variant {} cpi {:.4} {} {:.4} delta {:+.4} benchmarks {} cache {}",
+        v.id.name(),
+        v.cpi,
+        component,
+        v.component,
+        v.delta.overall.total(),
+        v.benchmarks,
+        if v.cached { "hit" } else { "miss" }
+    )
+}
+
+/// Writes the `pareto …` and `sweep: …` lines closing a `sweep` reply
+/// (a node's, or the router's over merged slices).
+pub(crate) fn write_sweep_tail(
+    output: &mut impl Write,
+    pareto: &[&str],
+    variants: usize,
+    configs: usize,
+    runs: usize,
+) -> std::io::Result<()> {
+    writeln!(output, "pareto {}", pareto.join(" "))?;
+    writeln!(
+        output,
+        "sweep: variants {variants} simulated configs {configs} runs {runs}"
+    )
+}
+
+/// Writes a `pullsnap` reply's payload line.
+pub(crate) fn write_snapshot(output: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {
+    writeln!(output, "snapshot {}", hex_encode(bytes))
+}
+
+/// Writes a `pullrecs` reply's payload line: the arch constants as raw
+/// little-endian f64 bits and the records as CSV, both hex.
+pub(crate) fn write_records(
+    output: &mut impl Write,
+    machine: MachineId,
+    arch: &MicroarchParams,
+    records: &[RunRecord],
+) -> std::io::Result<()> {
+    let mut arch_bytes = Vec::with_capacity(40);
+    for v in [arch.width, arch.fe_depth, arch.c_l2, arch.c_mem, arch.c_tlb] {
+        arch_bytes.extend_from_slice(&v.to_le_bytes());
+    }
+    let csv = pmu::csv::to_csv(records);
+    writeln!(
+        output,
+        "records {} {} {}",
+        machine.name(),
+        hex_encode(&arch_bytes),
+        hex_encode(csv.as_bytes())
+    )
 }
 
 /// Lower-case hex, the `pullsnap`/`pushsnap` wire encoding.
@@ -1406,6 +1449,10 @@ fn connection_loop(
                 writeln!(output, "err: idle timeout — closing connection")?;
                 return output.flush();
             }
+            LineEvent::TooLong => {
+                output.write_all(poller::line_too_long().as_bytes())?;
+                return output.flush();
+            }
             LineEvent::Error(e) => return Err(e),
         }
     }
@@ -1416,6 +1463,8 @@ pub(crate) enum LineEvent {
     Eof,
     Stopped,
     IdleTimeout,
+    /// The next line runs past [`poller::MAX_LINE_BYTES`].
+    TooLong,
     Error(std::io::Error),
 }
 
@@ -1425,7 +1474,7 @@ pub(crate) enum LineEvent {
 /// (the pitfall of `BufRead::read_line` on a non-blocking stream).
 pub(crate) struct TimedLineReader {
     stream: TcpStream,
-    buf: Vec<u8>,
+    buf: LineBuf,
     eof: bool,
     last_activity: Instant,
 }
@@ -1434,7 +1483,7 @@ impl TimedLineReader {
     pub(crate) fn new(stream: TcpStream) -> Self {
         Self {
             stream,
-            buf: Vec::new(),
+            buf: LineBuf::default(),
             eof: false,
             last_activity: Instant::now(),
         }
@@ -1446,23 +1495,13 @@ impl TimedLineReader {
         // calls is never billed to the client as idleness.
         self.last_activity = Instant::now();
         loop {
-            if let Some(pos) = self.buf.iter().position(|b| *b == b'\n') {
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop(); // the newline
-                if line.last() == Some(&b'\r') {
-                    line.pop();
+            match self.buf.take(self.eof) {
+                NextLine::Line(line) => {
+                    return LineEvent::Line(String::from_utf8_lossy(&line).into_owned())
                 }
-                return LineEvent::Line(String::from_utf8_lossy(&line).into_owned());
-            }
-            if self.eof {
-                // A final line without a newline still counts, like
-                // `BufRead::lines` on the stdio front.
-                if self.buf.is_empty() {
-                    return LineEvent::Eof;
-                }
-                let line = String::from_utf8_lossy(&self.buf).into_owned();
-                self.buf.clear();
-                return LineEvent::Line(line);
+                NextLine::TooLong => return LineEvent::TooLong,
+                NextLine::Pending if self.eof => return LineEvent::Eof,
+                NextLine::Pending => {}
             }
             if stop.load(Ordering::SeqCst) {
                 return LineEvent::Stopped;
@@ -1471,7 +1510,7 @@ impl TimedLineReader {
             match self.stream.read(&mut chunk) {
                 Ok(0) => self.eof = true,
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.buf.extend(&chunk[..n]);
                     self.last_activity = Instant::now();
                 }
                 Err(e)

@@ -2,18 +2,27 @@
 //! [`execute_line`] and corrupted/truncated binary frames thrown at
 //! [`read_frame`] must never panic, never wedge a worker shard, and —
 //! on an auth-gated session — never reach command dispatch without a
-//! valid `hello <token>` handshake.
+//! valid `hello <token>` handshake. Over TCP, both engines refuse a line
+//! past [`MAX_LINE_BYTES`] in-band and hang up, while the largest line
+//! the cluster itself sends still goes through.
 
 use memodel::service::auth::TokenRegistry;
+use memodel::service::cluster::{ClusterHarness, RouterConfig};
+use memodel::service::poller::{ServeBackend, MAX_LINE_BYTES};
 use memodel::service::proto::{
     self, decode_stack_frame, encode_stack_frame, read_frame, LineOutcome, SessionSpec,
+    TcpServerConfig,
 };
 use memodel::service::sweep::{MAX_SWEEP_UOPS, MAX_SWEEP_VARIANTS};
 use memodel::service::{CpiService, ServiceConfig, TenantId};
 use memodel::stack::CpiStack;
 use memodel::FitOptions;
+use pmu::{CounterSet, Event, MachineId, RunRecord, Suite};
 use proptest::prelude::*;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// The one token the fuzz registry accepts.
 const TOKEN: &str = "fuzz-token-0123456789abcdef";
@@ -296,4 +305,198 @@ fn over_cap_sweeps_dispatch_nothing() {
     );
     assert_eq!(stats.fits, 0);
     service.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Line-length cap on the TCP fronts
+// ---------------------------------------------------------------------------
+
+/// The farewell a front sends before hanging up on an over-long line.
+fn too_long() -> String {
+    format!("err: line longer than {MAX_LINE_BYTES} bytes — closing connection\n")
+}
+
+/// The full reply to one `help` line.
+fn help_reply() -> String {
+    format!("{}\nok\n", proto::SERVE_HELP)
+}
+
+/// Runs `check` against a fresh open node front on each engine.
+fn on_node_fronts(check: impl Fn(SocketAddr, &str, &str)) {
+    for backend in [ServeBackend::Events, ServeBackend::Threads] {
+        let config = ServiceConfig::new().with_workers(1);
+        let service = CpiService::start(config.clone());
+        let banner = format!("{}\n", proto::banner(&config, true));
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let server = proto::serve_tcp(
+            listener,
+            SessionSpec::open(service.client(), FitOptions::quick()),
+            TcpServerConfig::new(proto::banner(&config, true))
+                .with_poll_interval(Duration::from_millis(2))
+                .with_backend(backend),
+        )
+        .expect("tcp front starts");
+        check(server.local_addr(), &banner, &format!("node {backend:?}"));
+        server.shutdown();
+        service.shutdown();
+    }
+}
+
+/// Runs `check` against every client-facing TCP front: a node's and a
+/// one-node cluster router's, each on both engines.
+fn on_every_front(check: impl Fn(SocketAddr, &str, &str)) {
+    on_node_fronts(&check);
+    for backend in [ServeBackend::Events, ServeBackend::Threads] {
+        let dir = std::env::temp_dir().join(format!(
+            "proto_properties_router_{}_{backend:?}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let harness = ClusterHarness::builder(dir.join("state"))
+            .with_router(
+                RouterConfig::new("router")
+                    .with_poll_interval(Duration::from_millis(2))
+                    .with_backend(backend),
+            )
+            .start()
+            .expect("cluster boots");
+        check(
+            harness.router_addr(),
+            "router\n",
+            &format!("router {backend:?}"),
+        );
+        harness.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Writes `input` on a fresh connection and returns everything the
+/// server sends back, to EOF. A write cut short by the server hanging
+/// up is expected on the refusal paths, so write errors are ignored.
+fn exchange(addr: SocketAddr, input: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let _ = stream.write_all(input);
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    String::from_utf8_lossy(&reply).into_owned()
+}
+
+/// On every front, a newline-free stream one byte past the cap, alone or
+/// after a served command, is refused in-band and the connection
+/// closes, as is a complete line one byte past the cap; a line of
+/// exactly the cap is still served and the session carries on.
+#[test]
+fn over_long_lines_are_refused_and_the_connection_closed() {
+    on_every_front(|addr, banner, front| {
+        let flood = vec![b'a'; MAX_LINE_BYTES + 1];
+        let reply = exchange(addr, &flood);
+        assert_eq!(reply, format!("{banner}{}", too_long()), "{front}");
+
+        let mut input = b"help\n".to_vec();
+        input.extend_from_slice(&flood);
+        let reply = exchange(addr, &input);
+        assert_eq!(
+            reply,
+            format!("{banner}{}{}", help_reply(), too_long()),
+            "{front}"
+        );
+
+        let mut input = b"stats".to_vec();
+        input.resize(MAX_LINE_BYTES + 1, b' ');
+        input.push(b'\n');
+        let reply = exchange(addr, &input);
+        assert_eq!(reply, format!("{banner}{}", too_long()), "{front}");
+
+        let mut input = b"stats".to_vec();
+        input.resize(MAX_LINE_BYTES, b' ');
+        input.extend_from_slice(b"\nquit\n");
+        let reply = exchange(addr, &input);
+        let served = reply.strip_prefix(banner).expect("banner first");
+        assert!(served.starts_with("stats: requests "), "{front}: {served}");
+        assert!(!served.contains("err: "), "{front}: {served}");
+    });
+}
+
+/// The longest machine name a sweep can mint: every axis at its
+/// nine-digit maximum on the longest preset.
+const LONGEST_MACHINE: &str = "pentium4+rob999999999+mshr999999999+dw999999999+pf999999999";
+
+/// The router's `pushrecs` line for a full 103-benchmark campaign at its
+/// worst case: the longest machine name and every counter at its
+/// 20-digit maximum.
+fn maximal_pushrecs() -> String {
+    let machine = MachineId::variant(LONGEST_MACHINE).expect("valid variant name");
+    let mut counters = CounterSet::new();
+    for event in Event::ALL {
+        counters.set(event, u64::MAX);
+    }
+    let mut records = Vec::new();
+    for (suite, profiles) in [
+        (Suite::Cpu2000, specgen::suites::cpu2000()),
+        (Suite::Cpu2006, specgen::suites::cpu2006()),
+    ] {
+        for profile in profiles {
+            records.push(RunRecord::new(
+                profile.name.to_string(),
+                suite,
+                machine,
+                counters.clone(),
+            ));
+        }
+    }
+    assert_eq!(records.len(), 103, "the full campaign");
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let arch: Vec<u8> = [4.0f64, 14.0, 19.0, 169.0, 30.0]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let csv = pmu::csv::to_csv(&records);
+    format!(
+        "pushrecs {LONGEST_MACHINE} {} {}",
+        hex(&arch),
+        hex(csv.as_bytes())
+    )
+}
+
+/// The largest internal frame is served by a node front on both
+/// engines, and the cap sits well above it.
+#[test]
+fn a_maximal_pushrecs_line_goes_through() {
+    let line = maximal_pushrecs();
+    assert!(
+        line.len() * 8 < MAX_LINE_BYTES,
+        "a {}-byte pushrecs line leaves too little headroom under the cap",
+        line.len()
+    );
+    on_node_fronts(|addr, banner, front| {
+        let reply = exchange(addr, format!("{line}\nquit\n").as_bytes());
+        assert_eq!(
+            reply,
+            format!("{banner}installed 103 generation 1\nok\nok\n"),
+            "{front}"
+        );
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Whatever short commands precede it, an over-long line is refused
+    /// after they are served, and nothing behind it runs.
+    #[test]
+    fn over_long_lines_end_the_session_after_earlier_commands(
+        helps in 0usize..4,
+        excess in 1usize..70_000,
+    ) {
+        let mut input = b"help\n".repeat(helps);
+        input.resize(input.len() + MAX_LINE_BYTES + excess, b'x');
+        on_every_front(|addr, banner, front| {
+            let reply = exchange(addr, &input);
+            let expected = format!("{banner}{}{}", help_reply().repeat(helps), too_long());
+            assert_eq!(reply, expected, "{front}");
+        });
+    }
 }

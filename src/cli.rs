@@ -194,7 +194,9 @@ SUBCOMMANDS:
          --listen <addr> serves the same protocol on a TCP socket with
          concurrent connections, and --state-dir <dir> persists fitted
          models so a restarted server warms up without refitting;
-         --fit-threads caps each regression's multi-start fan-out.
+         --fit-threads sets the cold-compute budget: the thread count
+         of each regression's multi-start fan-out and of each sweep's
+         simulation collect pool.
          --auth <token-file> makes the server multi-tenant: every
          session must open with `hello <token>`, and each tenant gets
          its own machine namespace, cache quota and state subdirectory;
@@ -422,8 +424,9 @@ pub struct ServeArgs {
     pub idle_timeout: Option<u64>,
     /// Concurrent TCP connection cap (`None` = the transport default).
     pub max_conns: Option<usize>,
-    /// Per-regression thread budget on the workers (`None` = each fit
-    /// uses its options' budget, by default one thread per core).
+    /// Cold-compute budget on the workers — each regression's fan-out
+    /// and each sweep's collect pool (`None` = the request options'
+    /// budget, by default one thread per core).
     pub fit_threads: Option<usize>,
     /// Token file enabling multi-tenant auth: every session (stdio and
     /// TCP alike) must then `hello <token>` before serving commands, and

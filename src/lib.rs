@@ -470,9 +470,10 @@
 //! excluded from
 //! [`FitOptions::fingerprint`](model::FitOptions::fingerprint), so it
 //! never splits a cache key and persisted snapshots stay warm across
-//! budget changes. Cap a deployment's per-fit fan-out with
+//! budget changes. Cap a deployment's cold-compute budget — per-fit
+//! fan-out and per-sweep collect pool alike — with
 //! [`ServiceConfig::with_fit_threads`](service::ServiceConfig::with_fit_threads)
-//! (concurrent fits time-share the budget). Campaign collection reuses
+//! (concurrent cold jobs time-share the budget). Campaign collection reuses
 //! simulation buffers across runs and exposes the warm-up budget
 //! ([`SimSource::warmup`](workbench::SimSource::warmup), default
 //! unchanged). `cpistack bench` times cold collect (pool vs sequential)

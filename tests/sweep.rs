@@ -282,3 +282,51 @@ fn sweep_deltas_match_the_sequential_delta_path() {
     }
     service.shutdown();
 }
+
+/// The cold-compute budget is scheduling only: a cold sweep on 1 or 4
+/// shards, each with a 1- or 4-thread budget for its fits and its
+/// simulation collect pool, returns the same summary bit for bit and
+/// leaves the same training records and fitted parameters behind.
+#[test]
+fn cold_sweeps_are_byte_identical_at_every_shard_count_and_thread_budget() {
+    let spec = small_spec();
+    let run = |workers: usize, threads: usize| {
+        let service = CpiService::start(
+            ServiceConfig::new()
+                .with_workers(workers)
+                .with_fit_threads(threads),
+        );
+        let client = service.client();
+        let summary = client.sweep(spec.clone()).expect("cold sweep");
+        let mut fingerprint = format!(
+            "configs {} runs {} pareto {:?}\n",
+            summary.simulated_configs, summary.simulated_runs, summary.pareto
+        );
+        for r in &summary.results {
+            let key = ModelKey::new(r.id, Some(spec.suite), spec.options.clone());
+            let group = client.group(key).expect("variant group");
+            fingerprint += &format!(
+                "{} cpi {:x} component {:x} delta {:?} benchmarks {}\n\
+                 params {:?}\nrecords {:?}\n",
+                r.id.name(),
+                r.cpi.to_bits(),
+                r.component.to_bits(),
+                r.delta,
+                r.benchmarks,
+                group.model.params(),
+                group.records
+            );
+        }
+        service.shutdown();
+        fingerprint
+    };
+    let reference = run(1, 1);
+    assert!(reference.contains("configs 4 runs 48"), "{reference}");
+    for (workers, threads) in [(1, 4), (4, 1), (4, 4)] {
+        assert_eq!(
+            run(workers, threads),
+            reference,
+            "{workers} shards × {threads} threads diverged from 1 × 1"
+        );
+    }
+}
