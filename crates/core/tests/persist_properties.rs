@@ -9,31 +9,40 @@ use memodel::{MicroarchParams, ModelParams};
 use pmu::{MachineId, Suite};
 use proptest::prelude::*;
 
-/// Builds a snapshot from raw strategy outputs. Machine/suite pick by
-/// index so every name length (and the pooled empty-suite encoding) is
-/// exercised.
-fn snapshot_from(
+/// The raw strategy outputs one snapshot is built from.
+struct Draw<'a> {
     which: u64,
     fingerprint: u64,
     digest: u64,
     records: u64,
-    arch: &[f64],
-    b: &[f64],
+    arch: &'a [f64],
+    b: &'a [f64],
     interval_cap: f64,
     objective: f64,
-) -> ModelSnapshot {
-    let machine = MachineId::ALL[(which % 3) as usize];
-    let suite = [None, Some(Suite::Cpu2000), Some(Suite::Cpu2006)][((which / 3) % 3) as usize];
-    ModelSnapshot {
-        machine,
-        suite,
-        options_fingerprint: fingerprint,
-        records_digest: digest,
-        records: records as u32,
-        arch: MicroarchParams::new(arch[0], arch[1], arch[2], arch[3], arch[4]),
-        params: ModelParams::from_slice(b),
-        interval_cap,
-        objective,
+}
+
+/// Core 2's microarchitectural constants, for cases that do not vary them.
+const CORE2_ARCH: [f64; 5] = [4.0, 14.0, 19.0, 169.0, 30.0];
+
+impl Draw<'_> {
+    /// Builds the snapshot. Machine/suite pick by index so every name
+    /// length (and the pooled empty-suite encoding) is exercised.
+    fn snapshot(&self) -> ModelSnapshot {
+        let which = self.which;
+        let arch = self.arch;
+        let machine = MachineId::ALL[(which % 3) as usize];
+        let suite = [None, Some(Suite::Cpu2000), Some(Suite::Cpu2006)][((which / 3) % 3) as usize];
+        ModelSnapshot {
+            machine,
+            suite,
+            options_fingerprint: self.fingerprint,
+            records_digest: self.digest,
+            records: self.records as u32,
+            arch: MicroarchParams::new(arch[0], arch[1], arch[2], arch[3], arch[4]),
+            params: ModelParams::from_slice(self.b),
+            interval_cap: self.interval_cap,
+            objective: self.objective,
+        }
     }
 }
 
@@ -53,9 +62,17 @@ proptest! {
         interval_cap in 1e-6f64..1e9,
         objective in 0.0f64..1e12,
     ) {
-        let snap = snapshot_from(
-            which, fingerprint, digest, records, &arch, &b, interval_cap, objective,
-        );
+        let snap = Draw {
+            which,
+            fingerprint,
+            digest,
+            records,
+            arch: &arch,
+            b: &b,
+            interval_cap,
+            objective,
+        }
+        .snapshot();
         let bytes = encode(&snap);
         let back = decode(&bytes).expect("pristine bytes decode");
         prop_assert_eq!(&back, &snap);
@@ -76,10 +93,17 @@ proptest! {
         position in 0usize..10_000,
         flip in 1u64..256,
     ) {
-        let snap = snapshot_from(
-            which, fingerprint, digest, 48,
-            &[4.0, 14.0, 19.0, 169.0, 30.0], &b, 256.0, 0.5,
-        );
+        let snap = Draw {
+            which,
+            fingerprint,
+            digest,
+            records: 48,
+            arch: &CORE2_ARCH,
+            b: &b,
+            interval_cap: 256.0,
+            objective: 0.5,
+        }
+        .snapshot();
         let mut bytes = encode(&snap);
         let index = position % bytes.len();
         bytes[index] ^= flip as u8;
@@ -103,9 +127,17 @@ proptest! {
             std::process::id()
         ));
         let store = SnapshotStore::open(&dir).expect("temp store opens");
-        let snap = snapshot_from(
-            1, 7, 9, 48, &[4.0, 14.0, 19.0, 169.0, 30.0], &b, 256.0, 0.5,
-        );
+        let snap = Draw {
+            which: 1,
+            fingerprint: 7,
+            digest: 9,
+            records: 48,
+            arch: &CORE2_ARCH,
+            b: &b,
+            interval_cap: 256.0,
+            objective: 0.5,
+        }
+        .snapshot();
         let path = store.save(&snap).expect("save");
         let loaded = store
             .load(snap.machine, snap.suite, snap.options_fingerprint, snap.records_digest)

@@ -1,10 +1,11 @@
 //! Property-based tests: the model equations respect their structural
 //! invariants for any parameter/input combination within bounds.
 
+use memodel::equations::INTERVAL_CAP;
 use memodel::equations::{
     branch_resolution, miss_cycles, mlp_correction, predict_cpi, resource_stall,
 };
-use memodel::{MicroarchParams, ModelInputs, ModelParams};
+use memodel::{InferredModel, MicroarchParams, ModelInputs, ModelParams};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = ModelParams> {
@@ -80,6 +81,41 @@ proptest! {
             + miss_cycles(&arch, &params, &inputs)
             + resource_stall(&arch, &params, &inputs);
         prop_assert!((whole - parts).abs() < 1e-9);
+    }
+
+    /// The fitted model's per-term kernel (behind `predict`, `stack_for`
+    /// and the regression objective) is the equations oracle at the
+    /// default cap, bit for bit — including zero miss rates.
+    #[test]
+    fn model_kernel_matches_equations_at_default_cap(
+        arch in arb_arch(),
+        params in arb_params(),
+        inputs in arb_inputs(),
+        zeros in 0u8..16,
+    ) {
+        let mut inputs = inputs;
+        for (bit, rate) in [&mut inputs.mpu_br, &mut inputs.mpu_dl2, &mut inputs.mpu_dtlb, &mut inputs.mpu_l1i]
+            .into_iter()
+            .enumerate()
+        {
+            if zeros & (1 << bit) != 0 {
+                *rate = 0.0;
+            }
+        }
+        let model = InferredModel::from_parts(arch, params, INTERVAL_CAP, 0.0);
+        let stack = model.stack_for(&inputs);
+        let oracle = predict_cpi(&arch, &params, &inputs);
+        prop_assert_eq!(model.predict(&inputs).to_bits(), oracle.to_bits());
+        prop_assert_eq!(stack.total().to_bits(), oracle.to_bits());
+        prop_assert_eq!(
+            stack.resource.to_bits(),
+            resource_stall(&arch, &params, &inputs).to_bits()
+        );
+        prop_assert_eq!(
+            stack.branch_resolution.to_bits(),
+            branch_resolution(&params, &inputs).to_bits()
+        );
+        prop_assert_eq!(stack.mlp.to_bits(), mlp_correction(&params, &inputs).to_bits());
     }
 
     /// MLP is clamped to [1, 1e4] and the stall term is non-negative.

@@ -4,7 +4,9 @@
 //! on an auth-gated session — never reach command dispatch without a
 //! valid `hello <token>` handshake. Over TCP, both engines refuse a line
 //! past [`MAX_LINE_BYTES`] in-band and hang up, while the largest line
-//! the cluster itself sends still goes through.
+//! the cluster itself sends still goes through. Streamed input is bounded
+//! too: unflushed rows per session ([`proto::MAX_STREAM_PENDING`]) and
+//! distinct workloads per machine ([`MAX_STREAMED_BENCHMARKS`]).
 
 use memodel::service::auth::TokenRegistry;
 use memodel::service::cluster::{ClusterHarness, RouterConfig};
@@ -14,9 +16,13 @@ use memodel::service::proto::{
     TcpServerConfig,
 };
 use memodel::service::sweep::{MAX_SWEEP_UOPS, MAX_SWEEP_VARIANTS};
-use memodel::service::{CpiService, ServiceConfig, TenantId};
+use memodel::service::{
+    CpiService, ServiceConfig, ServiceError, TenantId, MAX_STREAMED_BENCHMARKS,
+};
 use memodel::stack::CpiStack;
+use memodel::workbench::{MachineSpec, SimSource};
 use memodel::FitOptions;
+use oosim::machine::MachineConfig;
 use pmu::{CounterSet, Event, MachineId, RunRecord, Suite};
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -499,4 +505,157 @@ proptest! {
             assert_eq!(reply, expected, "{front}");
         });
     }
+}
+
+// ---------------------------------------------------------------------------
+// Streamed-input caps
+// ---------------------------------------------------------------------------
+
+/// Twelve simulated Core 2 / CPU2000 records — enough for a quick fit —
+/// shared by every stream case.
+fn stream_records() -> &'static [RunRecord] {
+    static RECORDS: OnceLock<Vec<RunRecord>> = OnceLock::new();
+    RECORDS.get_or_init(|| {
+        SimSource::new()
+            .suite(specgen::suites::cpu2000().into_iter().take(12).collect())
+            .uops(3_000)
+            .seed(5)
+            .collect_config(&MachineConfig::core2())
+    })
+}
+
+/// `record`'s counters under another benchmark name: a distinct workload.
+fn renamed(record: &RunRecord, name: &str) -> RunRecord {
+    RunRecord::new(
+        name,
+        record.suite(),
+        record.machine(),
+        record.counters().clone(),
+    )
+}
+
+/// The `stream rec` line carrying `record`.
+fn rec_line(record: &RunRecord) -> String {
+    let row = pmu::csv::to_csv_rows(std::slice::from_ref(record));
+    format!("stream rec {}", row.trim_end())
+}
+
+/// A fresh one-worker service and an open session with Core 2
+/// registered and a CPU2000 stream open.
+fn stream_session() -> (CpiService, proto::Session) {
+    let service = CpiService::start(ServiceConfig::new().with_workers(1));
+    let mut session = SessionSpec::open(service.client(), FitOptions::quick()).session();
+    for line in ["machine core2 4 14 19 169 30", "stream open core2 cpu2000"] {
+        let (out, _) = run_line(&mut session, line);
+        assert!(out.ends_with("ok\n"), "{line} -> {out}");
+    }
+    (service, session)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// Past `MAX_STREAM_PENDING` unflushed rows, every `stream rec` is
+    /// refused with one typed `err:` and buffers nothing: the flush lands
+    /// only the rows taken before the cap, and the buffer then takes rows
+    /// again.
+    #[test]
+    fn over_cap_stream_rows_are_refused_and_buffer_nothing(extra in 1usize..40) {
+        let records = stream_records();
+        let lines: Vec<String> = records.iter().map(rec_line).collect();
+        let (service, mut session) = stream_session();
+        for i in 0..proto::MAX_STREAM_PENDING {
+            let (out, _) = run_line(&mut session, &lines[i % lines.len()]);
+            prop_assert_eq!(out, "ok\n");
+        }
+        let stray = rec_line(&renamed(&records[0], "999.stray"));
+        for _ in 0..extra {
+            let (out, outcome) = run_line(&mut session, &stray);
+            prop_assert_eq!(outcome, LineOutcome::Continue);
+            prop_assert!(
+                out.starts_with("err: stream buffer full") && out.lines().count() == 1,
+                "{out}"
+            );
+        }
+        let (out, _) = run_line(&mut session, "stream flush");
+        prop_assert!(out.starts_with("batch 1 records 12 "), "{out}");
+        prop_assert!(out.ends_with("ok\n"), "{out}");
+        let (out, _) = run_line(&mut session, &stray);
+        prop_assert_eq!(out, "ok\n");
+        service.shutdown();
+    }
+
+    /// A flush that would leave more than `MAX_STREAMED_BENCHMARKS`
+    /// distinct workloads in the machine's store is refused with one typed
+    /// `err:`; nothing lands, and the open stream still serves a normal
+    /// batch afterwards.
+    #[test]
+    fn over_cap_benchmark_names_are_refused_in_band(extra in 1usize..40) {
+        let records = stream_records();
+        let (service, mut session) = stream_session();
+        for i in 0..MAX_STREAMED_BENCHMARKS + extra {
+            let record = renamed(&records[i % records.len()], &format!("{i}.synthetic"));
+            let (out, _) = run_line(&mut session, &rec_line(&record));
+            prop_assert_eq!(out, "ok\n");
+        }
+        let (out, outcome) = run_line(&mut session, "stream flush");
+        prop_assert_eq!(outcome, LineOutcome::Continue);
+        prop_assert_eq!(
+            out,
+            format!(
+                "err: stream batch rejected: machine `core2` would hold more than \
+                 {MAX_STREAMED_BENCHMARKS} distinct benchmarks\n"
+            )
+        );
+        let stats = service.client().stats().expect("service alive");
+        prop_assert_eq!(stats.ingested_records, 0);
+        for record in records {
+            let (out, _) = run_line(&mut session, &rec_line(record));
+            prop_assert_eq!(out, "ok\n");
+        }
+        let (out, _) = run_line(&mut session, "stream flush");
+        prop_assert!(out.starts_with("batch 1 records 12 generation 1 "), "{out}");
+        service.shutdown();
+    }
+}
+
+/// The per-machine cap counts distinct workloads in the store after the
+/// upsert: a store at the cap still takes re-samples of its own
+/// workloads, refuses one new name whole, and is unchanged by the refusal.
+#[test]
+fn the_benchmark_cap_is_exact_and_upserts_stay_under_it() {
+    let records = stream_records();
+    let service = CpiService::start(ServiceConfig::new().with_workers(1));
+    let client = service.client();
+    client
+        .register(MachineSpec::from(MachineConfig::core2()))
+        .expect("register core2");
+    let name = |i: usize| format!("{i}.synthetic");
+    let at_cap: Vec<RunRecord> = (0..MAX_STREAMED_BENCHMARKS)
+        .map(|i| renamed(&records[i % records.len()], &name(i)))
+        .collect();
+    assert_eq!(
+        client
+            .stream_batch(MachineId::Core2, at_cap)
+            .expect("at the cap"),
+        (MAX_STREAMED_BENCHMARKS, 1)
+    );
+    let one_more = vec![renamed(&records[0], &name(MAX_STREAMED_BENCHMARKS))];
+    assert!(matches!(
+        client.stream_batch(MachineId::Core2, one_more),
+        Err(ServiceError::TooManyBenchmarks {
+            machine: MachineId::Core2
+        })
+    ));
+    let resample = vec![renamed(&records[1], &name(0))];
+    assert_eq!(
+        client
+            .stream_batch(MachineId::Core2, resample)
+            .expect("upsert"),
+        (1, 2),
+        "the refusal left the generation alone"
+    );
+    let stats = client.stats().expect("service alive");
+    assert_eq!(stats.ingested_records, MAX_STREAMED_BENCHMARKS as u64 + 1);
+    service.shutdown();
 }

@@ -22,6 +22,10 @@ pub struct Cache {
     sets: usize,
     ways: usize,
     line_shift: u32,
+    /// `log2(sets)` when the set count is a power of two (every paper
+    /// cache and TLB): the set index is then a mask and the tag a shift.
+    /// `None` keeps the division path for other geometries.
+    set_shift: Option<u32>,
     /// Tag per (set, way); `u64::MAX` marks invalid.
     tags: Vec<u64>,
     /// LRU stamp per (set, way); larger = more recent.
@@ -58,6 +62,7 @@ impl Cache {
             sets,
             ways,
             line_shift: line_bytes.trailing_zeros(),
+            set_shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
             tags: vec![u64::MAX; sets * ways],
             stamps: vec![0; sets * ways],
             tick: 0,
@@ -81,14 +86,22 @@ impl Cache {
         (self.sets * self.ways) as u64 * (1u64 << self.line_shift)
     }
 
+    /// The first tag-array slot of `addr`'s set, and `addr`'s tag.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        let (set, tag) = match self.set_shift {
+            Some(shift) => (line & ((1 << shift) - 1), line >> shift),
+            None => (line % self.sets as u64, line / self.sets as u64),
+        };
+        (set as usize * self.ways, tag)
+    }
+
     /// Looks up `addr`, updating LRU state and allocating on miss.
     /// Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
-        let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
+        let (base, tag) = self.locate(addr);
         let slots = &mut self.tags[base..base + self.ways];
         if let Some(way) = slots.iter().position(|&t| t == tag) {
             self.stamps[base + way] = self.tick;
@@ -110,10 +123,7 @@ impl Cache {
     /// The installed line becomes most-recently-used.
     pub fn install(&mut self, addr: u64) {
         self.tick += 1;
-        let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
+        let (base, tag) = self.locate(addr);
         if let Some(way) = self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == tag)
@@ -130,10 +140,7 @@ impl Cache {
 
     /// Probe without updating state: would `addr` hit?
     pub fn probe(&self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
+        let (base, tag) = self.locate(addr);
         self.tags[base..base + self.ways].contains(&tag)
     }
 
@@ -248,6 +255,107 @@ mod tests {
         assert!(c.probe(0x40));
         let _ = c.probe(0x4000_0040); // miss probe must not mutate either
         assert_eq!((c.hits(), c.misses()), before);
+    }
+
+    /// The same geometry forced onto the division path: the oracle for
+    /// the mask-and-shift set index.
+    fn division_path(c: &Cache) -> Cache {
+        Cache {
+            set_shift: None,
+            ..c.clone()
+        }
+    }
+
+    #[test]
+    fn set_index_path_is_chosen_by_geometry() {
+        assert_eq!(Cache::new(32 * 1024, 64, 8).set_shift, Some(6));
+        assert_eq!(Cache::new(64 * 4096, 4096, 4).set_shift, Some(4));
+        // 1536 sets: a 6 MiB, 64-byte-line, 64-way geometry.
+        let odd = Cache::new(6 << 20, 64, 64);
+        assert_eq!((odd.sets(), odd.set_shift), (1536, None));
+    }
+
+    /// Replays `ops` (`(addr, install?)`) on both caches; every access,
+    /// install and probe must agree, as must the final tag and LRU state.
+    fn replay_agrees(fast: &mut Cache, slow: &mut Cache, ops: &[(u64, bool)]) -> bool {
+        for &(addr, install) in ops {
+            if fast.probe(addr) != slow.probe(addr) {
+                return false;
+            }
+            if install {
+                fast.install(addr);
+                slow.install(addr);
+            } else if fast.access(addr) != slow.access(addr) {
+                return false;
+            }
+        }
+        fast.tags == slow.tags && fast.stamps == slow.stamps && fast.hits == slow.hits
+    }
+
+    /// A cache with a power-of-two set count, from log2 of its size, line
+    /// and ways (clamped into a consistent geometry).
+    fn pow2_geometry(size_log2: u32, line_log2: u32, ways_log2: u32) -> Cache {
+        let line_log2 = line_log2.min(size_log2);
+        let ways_log2 = ways_log2.min(size_log2 - line_log2);
+        Cache::new(1 << size_log2, 1 << line_log2, 1 << ways_log2)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn mask_path_matches_division_path(
+            size_log2 in 10u32..22,
+            line_log2 in 5u32..13,
+            ways_log2 in 0u32..4,
+            ops in proptest::collection::vec((0u64..1 << 24, 0u8..8), 1..400),
+        ) {
+            let mut fast = pow2_geometry(size_log2, line_log2, ways_log2);
+            proptest::prop_assert!(fast.set_shift.is_some());
+            let mut slow = division_path(&fast);
+            // Fold the draws onto a few times the capacity so sets see
+            // both hits and conflict evictions; one op in eight installs.
+            let span = fast.capacity() * 4;
+            let ops: Vec<(u64, bool)> = ops
+                .into_iter()
+                .map(|(a, k)| (a % span, k == 0))
+                .collect();
+            proptest::prop_assert!(replay_agrees(&mut fast, &mut slow, &ops));
+        }
+
+        #[test]
+        fn non_pow2_sets_keep_the_division_path(
+            ops in proptest::collection::vec((0u64..1536, 0u64..8, 0u8..2, 0u64..64), 1..2000),
+        ) {
+            // 1536 sets × 4 ways × 64 B: every access must hit or miss as a
+            // plain modulo/quotient LRU reference says. Lines are `k` sets
+            // apart for `k` in 0..8 (more lines than ways per set), half of
+            // them on the first 16 sets, so sets see reuse and evictions.
+            let mut c = Cache::new(1536 * 4 * 64, 64, 4);
+            proptest::prop_assert_eq!(c.set_shift, None);
+            let mut reference: Vec<Vec<u64>> = vec![Vec::new(); 1536];
+            for (set, k, hot, offset) in ops {
+                let set = if hot == 1 { set % 16 } else { set };
+                let addr = ((k * 1536 + set) << 6) | offset;
+                let line = addr >> 6;
+                let (set, tag) = ((line % 1536) as usize, line / 1536);
+                let lru = &mut reference[set];
+                let hit = match lru.iter().position(|&t| t == tag) {
+                    Some(p) => {
+                        lru.remove(p);
+                        true
+                    }
+                    None => {
+                        if lru.len() == 4 {
+                            lru.remove(0);
+                        }
+                        false
+                    }
+                };
+                lru.push(tag);
+                proptest::prop_assert_eq!(c.access(addr), hit);
+            }
+        }
     }
 
     #[test]

@@ -282,6 +282,10 @@ struct Backend<'a> {
     /// what the ROB-occupancy constraint needs.
     commit_ring: &'a mut [u64],
     class_ring: &'a mut [CommitClass],
+    /// The ROB slot of the next µop, `n % rob`, kept as a wrapping counter:
+    /// ROB sizes (96, 112, 126, 192, …) are rarely powers of two, and a
+    /// per-µop integer division would otherwise index both rings.
+    rob_slot: usize,
     mshr: &'a mut [u64],
     load_ports: &'a mut [u64],
     counters: CounterSet,
@@ -345,6 +349,7 @@ impl<'a> Backend<'a> {
             done_mask,
             commit_ring: &mut scratch.commit_ring,
             class_ring: &mut scratch.class_ring,
+            rob_slot: 0,
             mshr: &mut scratch.mshr,
             load_ports: &mut scratch.load_ports,
             counters: CounterSet::new(),
@@ -381,6 +386,8 @@ impl<'a> Backend<'a> {
         }
         let measuring = self.n >= self.warmup;
         let i = self.n as usize;
+        let slot = self.rob_slot;
+        debug_assert_eq!(slot, i % rob);
 
         // --- Front end: I-cache / I-TLB penalty on a line change. ----------
         if let Some(fetch) = place.fetch(op) {
@@ -418,8 +425,8 @@ impl<'a> Backend<'a> {
         }
 
         // --- Dispatch: bandwidth, front-end, ROB occupancy. ----------------
-        let rob_free = self.commit_ring[i % rob];
-        let rob_cause = match self.class_ring[i % rob] {
+        let rob_free = self.commit_ring[slot];
+        let rob_cause = match self.class_ring[slot] {
             CommitClass::LlcLoad => StallCause::LlcDataMiss,
             CommitClass::DtlbLoad => StallCause::DtlbMiss,
             CommitClass::LongLatency | CommitClass::Short => StallCause::ResourceStall,
@@ -606,8 +613,9 @@ impl<'a> Backend<'a> {
         self.last_commit = commit;
 
         self.done_ring[i & self.done_mask] = exec_done;
-        self.commit_ring[i % rob] = commit;
-        self.class_ring[i % rob] = class;
+        self.commit_ring[slot] = commit;
+        self.class_ring[slot] = class;
+        self.rob_slot = if slot + 1 == rob { 0 } else { slot + 1 };
 
         counters.inc(Event::UopsRetired);
         if op.macro_first {

@@ -96,17 +96,45 @@ fn clamp_into(x: &mut [f64], bounds: &[(f64, f64)]) {
     }
 }
 
+/// The best, second-worst and worst vertices of a simplex with `values`
+/// (at least two): the first, second-to-last and last indices of a
+/// stable ascending [`f64::total_cmp`] sort, found in one scan.
+///
+/// A stable sort keeps equal values in index order, so a later vertex
+/// sorts after every earlier one whose value is not greater: ties make the
+/// lower index the best and the higher index the worst.
+fn extremes(values: &[f64]) -> (usize, usize, usize) {
+    let (mut second, mut worst) = if values[1].total_cmp(&values[0]).is_ge() {
+        (0, 1)
+    } else {
+        (1, 0)
+    };
+    let mut best = second;
+    for (i, v) in values.iter().enumerate().skip(2) {
+        if v.total_cmp(&values[best]).is_lt() {
+            best = i;
+        }
+        if v.total_cmp(&values[worst]).is_ge() {
+            second = worst;
+            worst = i;
+        } else if v.total_cmp(&values[second]).is_ge() {
+            second = i;
+        }
+    }
+    (best, second, worst)
+}
+
 /// Minimises `f` subject to per-parameter box bounds `lo <= x[i] <= hi`.
 ///
 /// Trial points are clamped into the box before evaluation, which keeps the
 /// simplex inside the feasible region (the fitted model's exponents and
 /// scale factors all have natural sign/range constraints).
 ///
-/// The inner loop is allocation-free: the simplex, the two trial points,
-/// the centroid and the ordering scratch are all allocated once per run and
-/// reused across iterations, so a 20 000-evaluation fit makes a dozen
-/// allocations instead of tens of thousands. The arithmetic (and therefore
-/// every result bit) is unchanged from the allocating formulation.
+/// The inner loop is allocation-free: the simplex, the two trial points
+/// and the centroid are all allocated once per run and reused across
+/// iterations, so a 20 000-evaluation fit makes a dozen allocations
+/// instead of tens of thousands. The arithmetic (and therefore every
+/// result bit) is unchanged from the allocating formulation.
 ///
 /// # Panics
 ///
@@ -160,7 +188,6 @@ pub fn minimize_bounded<F: FnMut(&[f64]) -> f64>(
     let mut values: Vec<f64> = simplex.iter().map(|v| eval(v, &mut evals)).collect();
 
     // Per-run scratch, reused every iteration.
-    let mut order: Vec<usize> = (0..=n).collect();
     let mut centroid = vec![0.0f64; n];
     let mut trial = vec![0.0f64; n]; // reflected point
     let mut trial2 = vec![0.0f64; n]; // expanded / contracted point
@@ -174,22 +201,20 @@ pub fn minimize_bounded<F: FnMut(&[f64]) -> f64>(
     };
 
     while evals < opts.max_evals {
-        // Order the simplex: best first.
-        for (slot, i) in order.iter_mut().zip(0..=n) {
-            *slot = i;
-        }
-        order.sort_by(|&i, &j| values[i].total_cmp(&values[j]));
-        let best = order[0];
-        let worst = order[n];
-        let second_worst = order[n - 1];
+        let (best, second_worst, worst) = extremes(&values);
 
+        // Converged when both spreads are under tolerance; the parameter
+        // spread (a pass over every coordinate) only matters once the
+        // value spread already is.
         let spread = values[worst] - values[best];
-        let param_spread = simplex
-            .iter()
-            .flat_map(|v| v.iter().zip(&simplex[best]).map(|(a, b)| (a - b).abs()))
-            .fold(0.0f64, f64::max);
-        if spread.abs() < opts.value_tolerance && param_spread < opts.param_tolerance {
-            break;
+        if spread.abs() < opts.value_tolerance {
+            let param_spread = simplex
+                .iter()
+                .flat_map(|v| v.iter().zip(&simplex[best]).map(|(a, b)| (a - b).abs()))
+                .fold(0.0f64, f64::max);
+            if param_spread < opts.param_tolerance {
+                break;
+            }
         }
 
         // Centroid of all but the worst vertex.
@@ -528,6 +553,48 @@ fn run_starts<F: Fn(&[f64]) -> f64 + Sync>(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The stable sort the simplex ordered its vertices with: the oracle
+    /// for [`extremes`].
+    fn sorted_extremes(values: &[f64]) -> (usize, usize, usize) {
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.sort_by(|&i, &j| values[i].total_cmp(&values[j]));
+        let n = order.len() - 1;
+        (order[0], order[n - 1], order[n])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn extremes_match_the_stable_sort(
+            draws in proptest::collection::vec((0usize..12, -4.0f64..4.0), 2..14),
+        ) {
+            // A small palette makes ties (and ±0.0 / ±∞ neighbours) common.
+            const PALETTE: [f64; 8] = [
+                f64::NEG_INFINITY, -1.0, -0.0, 0.0, 0.5, 1.0, f64::INFINITY, f64::NAN,
+            ];
+            let values: Vec<f64> = draws
+                .into_iter()
+                .map(|(k, x)| PALETTE.get(k).copied().unwrap_or(x))
+                .collect();
+            proptest::prop_assert_eq!(extremes(&values), sorted_extremes(&values));
+        }
+    }
+
+    #[test]
+    fn extremes_break_ties_like_the_stable_sort() {
+        for values in [
+            vec![1.0, 1.0],
+            vec![2.0, 1.0],
+            vec![0.0, -0.0, 0.0, -0.0],
+            vec![f64::INFINITY, f64::INFINITY, 1.0],
+            vec![3.0, 3.0, 3.0, 3.0, 3.0],
+            vec![f64::NEG_INFINITY, 5.0, 5.0, f64::NEG_INFINITY],
+        ] {
+            assert_eq!(extremes(&values), sorted_extremes(&values), "{values:?}");
+        }
+    }
 
     #[test]
     fn sphere_converges() {

@@ -83,19 +83,33 @@ pub trait SampleUniform: Copy + PartialOrd {
     fn sample_single_inclusive<R: Rng>(lo: Self, hi: Self, rng: &mut R) -> Self;
 }
 
+/// `bits % span`: the draw's offset into a range of `span` values.
+///
+/// Every span but one fits a `u64`, and there the remainder is taken in
+/// `u64` — the same value the `u128` remainder gives (the operands are
+/// equal), without its library call. Only the full-width inclusive span
+/// (`2^64`, e.g. `0..=u64::MAX`) needs the `u128` path.
+#[inline]
+fn reduce(bits: u64, span: u128) -> u128 {
+    match u64::try_from(span) {
+        Ok(span) => u128::from(bits % span),
+        Err(_) => u128::from(bits) % span,
+    }
+}
+
 macro_rules! int_uniform {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
             fn sample_single<R: Rng>(lo: Self, hi: Self, rng: &mut R) -> Self {
                 assert!(lo < hi, "empty range in gen_range");
                 let span = (hi as i128 - lo as i128) as u128;
-                let v = (rng.next_u64() as u128) % span;
+                let v = reduce(rng.next_u64(), span);
                 (lo as i128 + v as i128) as $t
             }
             fn sample_single_inclusive<R: Rng>(lo: Self, hi: Self, rng: &mut R) -> Self {
                 assert!(lo <= hi, "empty range in gen_range");
                 let span = (hi as i128 - lo as i128) as u128 + 1;
-                let v = (rng.next_u64() as u128) % span;
+                let v = reduce(rng.next_u64(), span);
                 (lo as i128 + v as i128) as $t
             }
         }
@@ -207,6 +221,58 @@ mod tests {
             assert!((0.0..1.0).contains(&u));
             let s = rng.gen_range(-4i64..-1);
             assert!((-4..-1).contains(&s));
+        }
+    }
+
+    /// The `u128` remainder every integer draw used to take: the oracle
+    /// for [`super::reduce`].
+    fn reduce_u128(bits: u64, span: u128) -> u128 {
+        u128::from(bits) % span
+    }
+
+    #[test]
+    fn u64_reduction_matches_u128_remainder() {
+        // Property over random draws and random spans of every width (the
+        // shim cannot use the proptest shim, which depends on it), plus
+        // the edges: span 1, spans at and around 2^64, and extreme bits.
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let full = 1u128 << 64;
+        let mut spans = vec![1, 2, 3, full - 1, full];
+        for _ in 0..4096 {
+            let width = rng.gen_range(1u32..=64);
+            let raw = rng.next_u64() >> (64 - width);
+            spans.push(u128::from(raw.max(1)));
+        }
+        for &span in &spans {
+            for bits in [0, 1, u64::MAX - 1, u64::MAX, rng.next_u64(), rng.next_u64()] {
+                assert_eq!(
+                    super::reduce(bits, span),
+                    reduce_u128(bits, span),
+                    "bits {bits} span {span}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn full_width_ranges_match_the_u128_formula() {
+        // Same seed, same draws: every range width samples the value the
+        // `u128` formula gives for the raw bits it consumed.
+        let mut a = SmallRng::seed_from_u64(3);
+        let mut b = SmallRng::seed_from_u64(3);
+        for _ in 0..256 {
+            let bits = b.next_u64();
+            assert_eq!(a.gen_range(0..=u64::MAX), bits);
+            let bits = b.next_u64();
+            let want = (i64::MIN as i128 + reduce_u128(bits, 1u128 << 64) as i128) as i64;
+            assert_eq!(a.gen_range(i64::MIN..=i64::MAX), want);
+            let bits = b.next_u64();
+            let want = (i64::MIN as i128 + reduce_u128(bits, (1u128 << 64) - 1) as i128) as i64;
+            assert_eq!(a.gen_range(i64::MIN..i64::MAX), want);
+            let bits = b.next_u64();
+            assert_eq!(a.gen_range(0..u64::MAX), bits % u64::MAX);
+            let bits = b.next_u64();
+            assert_eq!(a.gen_range(-3i8..=100), (-3 + (bits % 104) as i128) as i8);
         }
     }
 

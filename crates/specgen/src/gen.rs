@@ -40,7 +40,13 @@ fn geometric_sample(m: u64, ln_q: f64) -> u32 {
     (d as u32).clamp(1, 512)
 }
 
-/// Exact integer cutoffs for the geometric dep-distance sampler.
+/// Mantissa bits that index the dep-distance guide table (1024 buckets).
+const GUIDE_BITS: u32 = 10;
+/// Shift taking a 53-bit mantissa to its guide bucket.
+const GUIDE_SHIFT: u32 = 53 - GUIDE_BITS;
+
+/// The tabulated geometric dep-distance sampler: exact integer cutoffs
+/// plus a Chen–Asau guide table over them.
 ///
 /// `geometric_sample(m, ln_q)` is a monotone non-increasing step function of
 /// the integer mantissa `m` (ln is monotone for faithful rounding —
@@ -48,13 +54,40 @@ fn geometric_sample(m: u64, ln_q: f64) -> u32 {
 /// rounding error — and division by the negative constant plus `ceil`
 /// preserve monotonicity). So the whole f64 pipeline collapses into a table:
 /// `cutoffs[i]` is the smallest `m` whose sample is `i + 1`, found by binary
-/// search *using the original formula as the oracle* — the table path is
-/// bit-identical to the formula path by construction, with no per-µop `ln`.
+/// search *using the original formula as the oracle*, and the sample at `m`
+/// is `cutoffs.partition_point(|&c| c > m) + 1`.
 ///
-/// Tables are cached per `ln_q` bit pattern (one per distinct
-/// `mean_dep_distance` across all profiles, ever).
-fn geometric_cutoffs(ln_q: f64) -> Arc<[u64]> {
-    type CutoffCache = Mutex<Vec<(u64, Arc<[u64]>)>>;
+/// The guide table spares each call that binary search. The cutoffs fall
+/// as the index grows, so the partition point is a non-increasing function
+/// of `m`; `guide[b]` holds its value at the *last* mantissa of bucket `b`
+/// (the bucket's smallest). Every cutoff below that index is above the
+/// whole bucket, so a forward scan from `guide[b]` while `cutoffs[i] > m`
+/// lands on exactly the partition point — usually after zero or one steps.
+/// The scan always stops inside the table: `cutoffs` ends in `0`.
+#[derive(Debug)]
+struct DepTable {
+    cutoffs: Box<[u64]>,
+    guide: Box<[u16]>,
+}
+
+impl DepTable {
+    /// The dep distance for 53-bit mantissa `m`, bit-identical to
+    /// `geometric_sample(m, ln_q)`.
+    #[inline]
+    fn sample(&self, m: u64) -> u32 {
+        let mut i = self.guide[(m >> GUIDE_SHIFT) as usize] as usize;
+        while self.cutoffs[i] > m {
+            i += 1;
+        }
+        i as u32 + 1
+    }
+}
+
+/// The [`DepTable`] for `ln_q`, built once per `ln_q` bit pattern (one per
+/// distinct `mean_dep_distance` across all profiles, ever) and shared by
+/// every generator.
+fn geometric_cutoffs(ln_q: f64) -> Arc<DepTable> {
+    type CutoffCache = Mutex<Vec<(u64, Arc<DepTable>)>>;
     static CACHE: OnceLock<CutoffCache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
     let key = ln_q.to_bits();
@@ -78,7 +111,21 @@ fn geometric_cutoffs(ln_q: f64) -> Arc<[u64]> {
         }
         cutoffs.push(lo);
     }
-    let table: Arc<[u64]> = cutoffs.into();
+    assert_eq!(
+        cutoffs.last(),
+        Some(&0),
+        "sample(0) is the largest distance"
+    );
+    let guide = (0..1u64 << GUIDE_BITS)
+        .map(|b| {
+            let last = ((b + 1) << GUIDE_SHIFT) - 1;
+            cutoffs.partition_point(|&c| c > last) as u16
+        })
+        .collect();
+    let table = Arc::new(DepTable {
+        cutoffs: cutoffs.into(),
+        guide,
+    });
     guard.push((key, Arc::clone(&table)));
     table
 }
@@ -168,7 +215,6 @@ struct LoopState {
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
     profile: WorkloadProfile,
-    cracking: f64,
     rng: SmallRng,
     pc_seed: u64,
     regions: Vec<RegionState>,
@@ -186,10 +232,15 @@ pub struct TraceGenerator {
     /// `pc ^ pc_seed` and the (fixed) profile, so each static instruction
     /// is decoded at most once per run instead of once per dynamic visit.
     decode_cache: Vec<Option<StaticInstr>>,
-    /// Tabulated geometric sampler (see [`geometric_cutoffs`]): maps the
-    /// RNG's 53-bit mantissa straight to a dep distance, bit-identical to
-    /// the historical `ceil(ln(u)/ln(1-p))` computation.
-    dep_cutoffs: Arc<[u64]>,
+    /// Tabulated geometric sampler (see [`DepTable`]): maps the RNG's
+    /// 53-bit mantissa straight to a dep distance, bit-identical to the
+    /// historical `ceil(ln(u)/ln(1-p))` computation.
+    dep_table: Arc<DepTable>,
+    /// µops per macro-instruction, `floor(uop_expansion × cracking)`.
+    expansion_whole: u64,
+    /// Probability of one extra µop per macro-instruction: the fractional
+    /// part of `uop_expansion × cracking`, clamped to `[0, 1]`.
+    expansion_frac: f64,
 }
 
 impl TraceGenerator {
@@ -228,9 +279,12 @@ impl TraceGenerator {
         let code_instrs = (profile.code_footprint / INSTR_BYTES).max(64);
         let hot_instrs =
             ((code_instrs as f64 * profile.code_hot_size_frac) as u64).clamp(64, code_instrs);
+        // Expansion: baseline × machine factor, stochastically rounded per
+        // macro-instruction (see `emit_macro`).
+        let target = profile.uop_expansion * cracking.factor;
+        let expansion_whole = target.floor() as u64;
         let mut this = Self {
             profile: profile.clone(),
-            cracking: cracking.factor,
             rng,
             pc_seed: splitmix64(mixed ^ 0xDEAD_10CC),
             regions,
@@ -248,10 +302,12 @@ impl TraceGenerator {
             hot_instrs,
             pattern_counts: vec![0; 2048],
             decode_cache: vec![None; code_instrs as usize],
-            dep_cutoffs: {
+            dep_table: {
                 let p = 1.0 / profile.mean_dep_distance;
                 geometric_cutoffs((1.0f64 - p).ln())
             },
+            expansion_whole,
+            expansion_frac: (target - expansion_whole as f64).clamp(0.0, 1.0),
         };
         this.begin_loop();
         this
@@ -410,24 +466,17 @@ impl TraceGenerator {
     /// Samples a register dependence distance (geometric, mean
     /// `mean_dep_distance`, at least 1).
     fn dep_distance(&mut self) -> u32 {
-        // Inverse-CDF geometric sampling via the precomputed cutoff table:
-        // one RNG draw (the same draw the f64 path consumed) and a short
-        // binary search, no per-µop `ln`.
-        let m = self.rng.next_u64() >> 11;
-        self.dep_cutoffs.partition_point(|&c| c > m) as u32 + 1
+        // Inverse-CDF geometric sampling via the precomputed table: one RNG
+        // draw (the same draw the f64 formula consumes), one guide lookup
+        // and a short scan.
+        self.dep_table.sample(self.rng.next_u64() >> 11)
     }
 
     /// Cracks one macro-instruction into µops and pushes them on the queue.
     fn emit_macro(&mut self, pc: u64, instr: StaticInstr, branch: Option<BranchInfo>) {
         // Expansion: baseline × machine factor, stochastically rounded.
-        let target = self.profile.uop_expansion * self.cracking;
-        let whole = target.floor() as u64;
-        let extra = if self.rng.gen_bool((target - whole as f64).clamp(0.0, 1.0)) {
-            1
-        } else {
-            0
-        };
-        let n = (whole + extra).max(1);
+        let extra = u64::from(self.rng.gen_bool(self.expansion_frac));
+        let n = (self.expansion_whole + extra).max(1);
 
         for slot in 0..n {
             let first = slot == 0;
@@ -772,18 +821,97 @@ mod tests {
         for mean in [1.5f64, 3.0, 7.0, 15.0, 40.0, 120.0] {
             let ln_q = (1.0f64 - 1.0 / mean).ln();
             let table = geometric_cutoffs(ln_q);
-            let lookup = |m: u64| table.partition_point(|&c| c > m) as u32 + 1;
             let mut probes: Vec<u64> = vec![0, 1, (1u64 << 53) - 1];
-            for &c in table.iter() {
+            for &c in table.cutoffs.iter() {
                 probes.extend([c.saturating_sub(1), c, c + 1]);
             }
             probes.extend((0..4096u64).map(|i| i * ((1u64 << 53) / 4096) + 17));
             for m in probes {
                 let m = m.min((1u64 << 53) - 1);
                 assert_eq!(
-                    lookup(m),
+                    table.sample(m),
                     geometric_sample(m, ln_q),
                     "table and formula disagree at mean {mean}, mantissa {m}"
+                );
+            }
+        }
+    }
+
+    /// The binary search over the cutoffs that the guide table replaced:
+    /// the oracle for [`DepTable::sample`].
+    fn bisect(table: &DepTable, m: u64) -> u32 {
+        table.cutoffs.partition_point(|&c| c > m) as u32 + 1
+    }
+
+    /// Every distinct `mean_dep_distance` of the shipped suites, plus the
+    /// degenerate mean of 1 (a table of one cutoff).
+    fn suite_dep_means() -> Vec<f64> {
+        let mut means: Vec<f64> = crate::suites::cpu2000()
+            .into_iter()
+            .chain(crate::suites::cpu2006())
+            .map(|p| p.mean_dep_distance)
+            .chain([1.0])
+            .collect();
+        means.sort_by(f64::total_cmp);
+        means.dedup();
+        means
+    }
+
+    fn table_for(mean: f64) -> Arc<DepTable> {
+        geometric_cutoffs((1.0f64 - 1.0 / mean).ln())
+    }
+
+    #[test]
+    fn guide_table_matches_bisection_at_every_bucket_edge() {
+        const TOP: u64 = (1u64 << 53) - 1;
+        for mean in suite_dep_means() {
+            let table = table_for(mean);
+            let mut probes = vec![0, 1, TOP - 1, TOP];
+            for b in 0..=1u64 << GUIDE_BITS {
+                let edge = b << GUIDE_SHIFT;
+                probes.extend([edge.saturating_sub(1), edge, edge + 1]);
+            }
+            for &c in table.cutoffs.iter() {
+                probes.extend([c.saturating_sub(1), c, c + 1]);
+            }
+            for m in probes.into_iter().map(|m| m.min(TOP)) {
+                assert_eq!(
+                    table.sample(m),
+                    bisect(&table, m),
+                    "guide and bisection disagree at mean {mean}, mantissa {m}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn guide_table_matches_bisection(pick in 0usize..1 << 16, m in 0u64..1 << 53) {
+            let means = suite_dep_means();
+            let mean = means[pick % means.len()];
+            let table = table_for(mean);
+            proptest::prop_assert_eq!(table.sample(m), bisect(&table, m));
+        }
+    }
+
+    #[test]
+    fn expansion_is_precomputed_from_profile_and_cracking() {
+        // The per-macro expansion split must equal the formula the
+        // per-macro path used to evaluate on every macro-instruction.
+        for profile in crate::suites::cpu2000()
+            .into_iter()
+            .chain(crate::suites::cpu2006())
+        {
+            for factor in [1.0, 1.07, 1.3, 1.6] {
+                let g = TraceGenerator::new(&profile, Cracking::new(factor), 1);
+                let target = profile.uop_expansion * factor;
+                let whole = target.floor() as u64;
+                assert_eq!(g.expansion_whole, whole);
+                assert_eq!(
+                    g.expansion_frac.to_bits(),
+                    (target - whole as f64).clamp(0.0, 1.0).to_bits()
                 );
             }
         }
