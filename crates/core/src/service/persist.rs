@@ -1,5 +1,5 @@
 //! Durable model state for [`CpiService`](super::CpiService): fitted
-//! [`ModelParams`](crate::params::ModelParams) snapshots on disk, so a
+//! [`ModelParams`] snapshots on disk, so a
 //! restarted service warms up without re-running a single regression.
 //!
 //! A [`SnapshotStore`] maps one file per

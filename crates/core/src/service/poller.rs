@@ -1,53 +1,26 @@
 //! Readiness-driven socket serving: a `mio`-style [`Poller`] over
-//! nonblocking sockets, plus the shared event-loop harness both TCP
-//! fronts (the node front in [`proto`](super::proto) and the cluster
-//! router in [`cluster`](super::cluster)) run their connections on.
+//! nonblocking sockets, plus the event loop both TCP fronts (the node
+//! front in [`proto`](super::proto) and the cluster router in
+//! [`cluster`](super::cluster)) run their connections on.
 //!
-//! The previous fronts were thread-per-connection polling loops: every
-//! blocked read woke on a `--poll-interval` tick to check the stop flag
-//! and the idle deadline, so a thousand idle connections cost a thousand
-//! timer wheels and a thousand stacks. Here one thread owns every
-//! connection: sockets are nonblocking, readiness comes from the kernel
-//! (`epoll` on Linux via raw syscalls — the same no-libc idiom as
-//! `pmu::live` — `poll(2)` on other Unixes), partial lines and frame
-//! bytes are buffered per connection, and `--poll-interval` survives
-//! only as the *timer granularity*: the loop sleeps in the kernel until
-//! a socket turns ready or the tick elapses, never spinning.
+//! One thread owns every connection: sockets are nonblocking, readiness
+//! comes from the kernel through `poll(2)` (via the libc std already
+//! links), partial lines and frame bytes are buffered per connection,
+//! and `--poll-interval` is only the *timer granularity*: the loop
+//! sleeps in the kernel until a socket turns ready or the tick elapses,
+//! never spinning. The connection cap is enforced at accept time, on the
+//! loop's own thread, so the over-cap client deterministically reads
+//! `err: busy` and an immediate close.
 //!
-//! Wire behavior is byte-identical to the threaded fronts (golden
-//! transcripts replay unchanged); the one deliberate difference is the
-//! connection cap, which is now enforced deterministically at accept
-//! time — the over-cap client reads `err: busy` and an immediate close,
-//! with no dependence on when a departed predecessor's thread noticed
-//! its own EOF.
-//!
-//! On platforms without a readiness facility ([`Poller::new`] fails)
-//! the fronts fall back to the retained thread-per-connection loops, so
-//! the crate still builds and serves everywhere it used to.
+//! On non-Unix platforms [`Poller::new`] fails with
+//! [`io::ErrorKind::Unsupported`], and so do the TCP fronts at setup;
+//! the crate still builds there, and the stdio front still serves.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------------
-// Backend selection
-// ---------------------------------------------------------------------------
-
-/// Which connection engine a TCP front runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServeBackend {
-    /// One readiness event loop multiplexing every connection
-    /// (the default). Falls back to [`ServeBackend::Threads`] at
-    /// startup if the platform has no poller.
-    #[default]
-    Events,
-    /// The legacy thread-per-connection polling loops. Retained as the
-    /// measured baseline for `cpistack loadgen` / `BENCH_9.json`
-    /// comparisons and as the portable fallback.
-    Threads,
-}
 
 // ---------------------------------------------------------------------------
 // The Poller
@@ -83,11 +56,10 @@ impl Interest {
     };
 }
 
-/// A level-triggered readiness selector over raw file descriptors:
-/// `epoll` on Linux (x86-64 / aarch64, via raw syscalls — no libc
-/// types), `poll(2)` on other Unixes. Register sockets under a caller
-/// token, then [`Poller::wait`] blocks in the kernel until one turns
-/// ready or the timeout lapses.
+/// A level-triggered readiness selector over raw file descriptors,
+/// backed by `poll(2)`. Register sockets under a caller token, then
+/// [`Poller::wait`] blocks in the kernel until one turns ready or the
+/// timeout lapses.
 #[derive(Debug)]
 pub struct Poller {
     backend: PollerBackend,
@@ -98,10 +70,8 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// The platform has no readiness facility (non-Unix, or an exotic
-    /// Linux architecture without the syscall shim) or the kernel
-    /// refused the `epoll` instance. Callers fall back to the threaded
-    /// serving path.
+    /// [`io::ErrorKind::Unsupported`] on platforms without `poll(2)`
+    /// (non-Unix).
     pub fn new() -> io::Result<Self> {
         Ok(Self {
             backend: PollerBackend::new()?,
@@ -112,7 +82,7 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// The kernel rejected the registration (bad descriptor, duplicate).
+    /// [`io::ErrorKind::AlreadyExists`] when `fd` is already registered.
     pub fn add(&mut self, fd: RawFdT, token: u64, interest: Interest) -> io::Result<()> {
         self.backend.add(fd, token, interest)
     }
@@ -121,7 +91,7 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// The descriptor is not registered.
+    /// [`io::ErrorKind::NotFound`] when `fd` is not registered.
     pub fn modify(&mut self, fd: RawFdT, token: u64, interest: Interest) -> io::Result<()> {
         self.backend.modify(fd, token, interest)
     }
@@ -131,7 +101,7 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// The descriptor is not registered.
+    /// [`io::ErrorKind::NotFound`] when `fd` is not registered.
     pub fn remove(&mut self, fd: RawFdT) -> io::Result<()> {
         self.backend.remove(fd)
     }
@@ -156,210 +126,9 @@ fn timeout_ms(timeout: Duration) -> i32 {
     timeout.as_millis().clamp(1, i32::MAX as u128) as i32
 }
 
-// --- Linux: epoll via raw syscalls (no libc dependency) --------------------
+// --- Unix: poll(2) through the libc std already links ---------------------
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod sys {
-    use super::{timeout_ms, Interest, PollEvent, RawFdT};
-    use std::io;
-    use std::time::Duration;
-
-    #[cfg(target_arch = "x86_64")]
-    mod nr {
-        pub const EPOLL_CREATE1: u64 = 291;
-        pub const EPOLL_CTL: u64 = 233;
-        pub const EPOLL_PWAIT: u64 = 281;
-        pub const CLOSE: u64 = 3;
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    mod nr {
-        pub const EPOLL_CREATE1: u64 = 20;
-        pub const EPOLL_CTL: u64 = 21;
-        pub const EPOLL_PWAIT: u64 = 22;
-        pub const CLOSE: u64 = 57;
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn syscall6(n: u64, a: u64, b: u64, c: u64, d: u64, e: u64, f: u64) -> i64 {
-        let ret: i64;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") n as i64 => ret,
-            in("rdi") a,
-            in("rsi") b,
-            in("rdx") c,
-            in("r10") d,
-            in("r8") e,
-            in("r9") f,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn syscall6(n: u64, a: u64, b: u64, c: u64, d: u64, e: u64, f: u64) -> i64 {
-        let ret: i64;
-        std::arch::asm!(
-            "svc 0",
-            in("x8") n,
-            inlateout("x0") a => ret,
-            in("x1") b,
-            in("x2") c,
-            in("x3") d,
-            in("x4") e,
-            in("x5") f,
-            options(nostack)
-        );
-        ret
-    }
-
-    fn check(ret: i64) -> io::Result<i64> {
-        if ret < 0 {
-            Err(io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret)
-        }
-    }
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-
-    const EPOLL_CTL_ADD: u64 = 1;
-    const EPOLL_CTL_DEL: u64 = 2;
-    const EPOLL_CTL_MOD: u64 = 3;
-
-    const EPOLL_CLOEXEC: u64 = 0o2000000;
-
-    /// The kernel's `struct epoll_event`: packed on x86-64 only, per
-    /// the ABI.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = 0;
-        if interest.read {
-            bits |= EPOLLIN;
-        }
-        if interest.write {
-            bits |= EPOLLOUT;
-        }
-        bits
-    }
-
-    #[derive(Debug)]
-    pub(super) struct PollerBackend {
-        epfd: i32,
-    }
-
-    impl PollerBackend {
-        pub(super) fn new() -> io::Result<Self> {
-            let epfd = check(unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0) })?;
-            Ok(Self { epfd: epfd as i32 })
-        }
-
-        fn ctl(&mut self, op: u64, fd: RawFdT, event: Option<EpollEvent>) -> io::Result<()> {
-            let ptr = event
-                .as_ref()
-                .map_or(0u64, |e| e as *const EpollEvent as u64);
-            check(unsafe { syscall6(nr::EPOLL_CTL, self.epfd as u64, op, fd as u64, ptr, 0, 0) })?;
-            Ok(())
-        }
-
-        pub(super) fn add(&mut self, fd: RawFdT, token: u64, interest: Interest) -> io::Result<()> {
-            let event = EpollEvent {
-                events: interest_bits(interest),
-                data: token,
-            };
-            self.ctl(EPOLL_CTL_ADD, fd, Some(event))
-        }
-
-        pub(super) fn modify(
-            &mut self,
-            fd: RawFdT,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            let event = EpollEvent {
-                events: interest_bits(interest),
-                data: token,
-            };
-            self.ctl(EPOLL_CTL_MOD, fd, Some(event))
-        }
-
-        pub(super) fn remove(&mut self, fd: RawFdT) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, None)
-        }
-
-        pub(super) fn wait(
-            &mut self,
-            events: &mut Vec<PollEvent>,
-            timeout: Duration,
-        ) -> io::Result<()> {
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 128];
-            let n = loop {
-                let ret = unsafe {
-                    syscall6(
-                        nr::EPOLL_PWAIT,
-                        self.epfd as u64,
-                        buf.as_mut_ptr() as u64,
-                        buf.len() as u64,
-                        timeout_ms(timeout) as u64,
-                        0, // sigmask: NULL — don't mask anything
-                        0, // sigsetsize: unread when sigmask is NULL
-                    )
-                };
-                match check(ret) {
-                    Ok(n) => break n as usize,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
-            };
-            for ev in buf.iter().take(n) {
-                // Copy out of the (possibly packed) struct before use.
-                let (bits, token) = (ev.events, ev.data);
-                events.push(PollEvent {
-                    token,
-                    // Error/hangup conditions surface through a read
-                    // (0 bytes / ECONNRESET), so fold them in.
-                    readable: bits & (EPOLLIN | EPOLLERR | EPOLLHUP) != 0,
-                    writable: bits & (EPOLLOUT | EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for PollerBackend {
-        fn drop(&mut self) {
-            unsafe {
-                syscall6(nr::CLOSE, self.epfd as u64, 0, 0, 0, 0, 0);
-            }
-        }
-    }
-}
-
-// --- Other Unixes: poll(2) through the libc std already links -------------
-
-#[cfg(all(
-    unix,
-    not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))
-))]
+#[cfg(unix)]
 mod sys {
     use super::{timeout_ms, Interest, PollEvent, RawFdT};
     use std::io;
@@ -372,10 +141,12 @@ mod sys {
         revents: i16,
     }
 
-    #[cfg(target_os = "linux")]
-    type Nfds = u64;
-    #[cfg(not(target_os = "linux"))]
-    type Nfds = u32;
+    /// `nfds_t`: `unsigned long` on Linux glibc/musl and illumos (32 bits
+    /// on i686 and armv7), `unsigned int` on macOS, the BSDs and Android.
+    #[cfg(any(target_os = "linux", target_os = "illumos", target_os = "solaris"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "illumos", target_os = "solaris")))]
+    type Nfds = std::ffi::c_uint;
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
@@ -475,7 +246,7 @@ mod sys {
     }
 }
 
-// --- Anywhere else: no poller; fronts fall back to threads ----------------
+// --- Anywhere else: no poller; the TCP fronts refuse to start -------------
 
 #[cfg(not(unix))]
 mod sys {
@@ -573,17 +344,18 @@ const BUSY: &[u8] = b"err: busy\n";
 /// bytes at the worst case — the longest variant machine name and every
 /// counter at its 20-digit maximum — so the cap sits 12× above the worst
 /// case. A longer line, or a newline-free stream that outgrows the cap,
-/// is answered with [`line_too_long`] and the connection closes: a
+/// is answered with an in-band `err: line longer than …` and the
+/// connection closes: a
 /// connection's input buffer never holds much more than the cap.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// In-band farewell for a line over [`MAX_LINE_BYTES`].
-pub(crate) fn line_too_long() -> String {
+fn line_too_long() -> String {
     format!("err: line longer than {MAX_LINE_BYTES} bytes — closing connection\n")
 }
 
 /// What a connection's buffered input holds next.
-pub(crate) enum NextLine {
+enum NextLine {
     /// One line, its newline (and any `\r` before it) stripped.
     Line(Vec<u8>),
     /// A partial line: read more.
@@ -595,24 +367,24 @@ pub(crate) enum NextLine {
 /// A connection's inbound bytes, cut into lines. Each byte is searched
 /// for a newline once, however many reads a long line arrives in.
 #[derive(Default)]
-pub(crate) struct LineBuf {
+struct LineBuf {
     bytes: Vec<u8>,
     /// Length of the newline-free prefix of `bytes` already searched.
     scanned: usize,
 }
 
 impl LineBuf {
-    pub(crate) fn extend(&mut self, chunk: &[u8]) {
+    fn extend(&mut self, chunk: &[u8]) {
         self.bytes.extend_from_slice(chunk);
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.bytes.is_empty()
     }
 
     /// Takes the next line. At `eof` an unterminated tail still counts
     /// as a line, like `BufRead::lines` on the stdio front.
-    pub(crate) fn take(&mut self, eof: bool) -> NextLine {
+    fn take(&mut self, eof: bool) -> NextLine {
         let newline = self.bytes[self.scanned..]
             .iter()
             .position(|b| *b == b'\n')
@@ -663,8 +435,8 @@ struct Conn<H> {
     /// Stop reading; close once `out` drains.
     closing: bool,
     /// Last moment this connection either delivered bytes or finished a
-    /// command — the idle clock, mirroring `TimedLineReader` (dispatch
-    /// time is never billed as idleness).
+    /// command — the idle clock (dispatch time is never billed as
+    /// idleness).
     last_activity: Instant,
     /// The interest set currently registered with the poller.
     registered: Interest,
@@ -714,8 +486,8 @@ pub(crate) fn run_event_loop<H, F>(
     loop {
         let stopping = stop.load(Ordering::SeqCst);
         if stopping && !announced {
-            // Mirror the threaded front: buffered complete lines still
-            // run, then every surviving session hears why it's closing.
+            // Buffered complete lines still run, then every surviving
+            // session hears why it's closing.
             announced = true;
             drain_deadline = Some(Instant::now() + DRAIN_GRACE);
             if listening {
@@ -886,8 +658,8 @@ fn read_burst<H>(conn: &mut Conn<H>) -> bool {
 
 /// Dispatches every complete buffered line (and, at EOF, the trailing
 /// unterminated line — matching `BufRead::lines` on the stdio front).
-/// Pipelined input after `quit`/`shutdown` is discarded, as in the
-/// threaded front; so is everything after an over-long line.
+/// Pipelined input after `quit`/`shutdown` is discarded, as on the
+/// stdio front; so is everything after an over-long line.
 fn drain_lines<H>(conn: &mut Conn<H>, stop: &AtomicBool)
 where
     H: FnMut(&str, &mut Vec<u8>) -> io::Result<Dispatch>,
@@ -911,9 +683,8 @@ where
                 stop.store(true, Ordering::SeqCst);
                 conn.closing = true;
             }
-            // The handler only fails on client-socket errors in the
-            // threaded fronts; here output is buffered, so an Err is a
-            // codec-internal failure — close the session.
+            // Output is buffered, so an Err is a codec-internal
+            // failure — close the session.
             Err(_) => conn.closing = true,
         }
         // Command execution is never billed as idleness.
@@ -964,5 +735,135 @@ fn close_conn<H>(poller: &mut Poller, conns: &mut HashMap<u64, Conn<H>>, token: 
         let _ = poller.remove(raw_fd(&conn.stream));
         // Dropping the stream closes the socket; pooled backend
         // connections a handler owns drop with it.
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixStream;
+
+    const TICK: Duration = Duration::from_millis(20);
+
+    fn pair() -> (UnixStream, UnixStream) {
+        let (a, b) = UnixStream::pair().expect("socket pair");
+        a.set_nonblocking(true).expect("nonblocking");
+        (a, b)
+    }
+
+    fn wait(poller: &mut Poller) -> Vec<PollEvent> {
+        let mut events = Vec::new();
+        poller.wait(&mut events, TICK).expect("wait");
+        events
+    }
+
+    fn readable(events: &[PollEvent], token: u64) -> bool {
+        events.iter().any(|e| e.token == token && e.readable)
+    }
+
+    #[test]
+    fn duplicate_add_is_already_exists() {
+        let (a, _b) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(raw_fd(&a), 1, Interest::READ).unwrap();
+        let err = poller.add(raw_fd(&a), 2, Interest::READ).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+    }
+
+    #[test]
+    fn modify_and_remove_of_an_unregistered_fd_are_not_found() {
+        let (a, _b) = pair();
+        let mut poller = Poller::new().unwrap();
+        let err = poller.modify(raw_fd(&a), 1, Interest::READ).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        let err = poller.remove(raw_fd(&a)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn readiness_is_level_triggered() {
+        let (mut a, mut b) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(raw_fd(&a), 7, Interest::READ).unwrap();
+        b.write_all(b"ping\n").unwrap();
+        assert!(readable(&wait(&mut poller), 7));
+        // Not drained: the next wait reports the same bytes again.
+        assert!(readable(&wait(&mut poller), 7));
+        let mut buf = [0u8; 16];
+        assert_eq!(a.read(&mut buf).unwrap(), 5);
+        assert!(wait(&mut poller).is_empty(), "drained socket stays quiet");
+    }
+
+    #[test]
+    fn peer_hangup_reports_readable_and_reads_eof() {
+        let (mut a, b) = pair();
+        let (c, d) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(raw_fd(&a), 1, Interest::READ).unwrap();
+        // A connection waiting only to flush still hears the hangup as
+        // readable, so the loop reaps it through a read.
+        let write_only = Interest {
+            read: false,
+            write: true,
+        };
+        poller.add(raw_fd(&c), 2, write_only).unwrap();
+        drop(b);
+        drop(d);
+        let events = wait(&mut poller);
+        assert!(readable(&events, 1), "{events:?}");
+        assert!(readable(&events, 2), "{events:?}");
+        let mut buf = [0u8; 16];
+        assert_eq!(a.read(&mut buf).unwrap(), 0, "EOF after hangup");
+    }
+
+    #[test]
+    fn write_interest_reports_writable() {
+        let (a, _b) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(raw_fd(&a), 3, Interest::READ).unwrap();
+        assert!(
+            wait(&mut poller).is_empty(),
+            "read interest, nothing to read"
+        );
+        let both = Interest {
+            read: true,
+            write: true,
+        };
+        poller.modify(raw_fd(&a), 3, both).unwrap();
+        let events = wait(&mut poller);
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].token, 3);
+        assert!(events[0].writable && !events[0].readable, "{events:?}");
+    }
+
+    #[test]
+    fn a_removed_fd_produces_no_events() {
+        let (a, mut b) = pair();
+        let (c, mut d) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(raw_fd(&a), 1, Interest::READ).unwrap();
+        poller.add(raw_fd(&c), 2, Interest::READ).unwrap();
+        b.write_all(b"x").unwrap();
+        d.write_all(b"y").unwrap();
+        poller.remove(raw_fd(&a)).unwrap();
+        let events = wait(&mut poller);
+        assert!(events.iter().all(|e| e.token == 2), "{events:?}");
+        assert!(readable(&events, 2), "{events:?}");
+    }
+
+    #[test]
+    fn an_idle_wait_returns_empty_after_its_timeout() {
+        let (a, _b) = pair();
+        let mut poller = Poller::new().unwrap();
+        poller.add(raw_fd(&a), 1, Interest::READ).unwrap();
+        let mut events = vec![PollEvent {
+            token: 9,
+            readable: true,
+            writable: true,
+        }];
+        let start = Instant::now();
+        poller.wait(&mut events, TICK).unwrap();
+        assert!(events.is_empty(), "{events:?}");
+        assert!(start.elapsed() >= TICK - Duration::from_millis(2));
     }
 }

@@ -573,7 +573,7 @@ impl CounterSource for SimSource {
     /// a heavy suite while another machine still has benchmarks queued,
     /// and machines that differ only in timing share each trace. Output
     /// slots are pre-assigned in sequential order; see
-    /// [`SimSource::run_pool`] for why any schedule yields byte-identical
+    /// `SimSource::run_pool` for why any schedule yields byte-identical
     /// records.
     fn collect_all(
         &self,

@@ -37,7 +37,7 @@ const POOL: &[&str] = &[
     "not-a-command at all",
 ];
 
-/// One warm service + one readiness-engine TCP front shared by every
+/// One warm service + one event-loop TCP front shared by every
 /// case; the model is pre-fitted so scripts are pure cache hits and the
 /// loop (not the regression) is what the cases exercise.
 fn shared() -> &'static (CpiService, SessionSpec, SocketAddr, proto::TcpServer) {

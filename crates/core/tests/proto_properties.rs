@@ -2,7 +2,7 @@
 //! [`execute_line`] and corrupted/truncated binary frames thrown at
 //! [`read_frame`] must never panic, never wedge a worker shard, and —
 //! on an auth-gated session — never reach command dispatch without a
-//! valid `hello <token>` handshake. Over TCP, both engines refuse a line
+//! valid `hello <token>` handshake. Over TCP, every front refuses a line
 //! past [`MAX_LINE_BYTES`] in-band and hang up, while the largest line
 //! the cluster itself sends still goes through. Streamed input is bounded
 //! too: unflushed rows per session ([`proto::MAX_STREAM_PENDING`]) and
@@ -10,7 +10,7 @@
 
 use memodel::service::auth::TokenRegistry;
 use memodel::service::cluster::{ClusterHarness, RouterConfig};
-use memodel::service::poller::{ServeBackend, MAX_LINE_BYTES};
+use memodel::service::poller::MAX_LINE_BYTES;
 use memodel::service::proto::{
     self, decode_stack_frame, encode_stack_frame, read_frame, LineOutcome, SessionSpec,
     TcpServerConfig,
@@ -327,53 +327,40 @@ fn help_reply() -> String {
     format!("{}\nok\n", proto::SERVE_HELP)
 }
 
-/// Runs `check` against a fresh open node front on each engine.
+/// Runs `check` against a fresh open node front.
 fn on_node_fronts(check: impl Fn(SocketAddr, &str, &str)) {
-    for backend in [ServeBackend::Events, ServeBackend::Threads] {
-        let config = ServiceConfig::new().with_workers(1);
-        let service = CpiService::start(config.clone());
-        let banner = format!("{}\n", proto::banner(&config, true));
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let server = proto::serve_tcp(
-            listener,
-            SessionSpec::open(service.client(), FitOptions::quick()),
-            TcpServerConfig::new(proto::banner(&config, true))
-                .with_poll_interval(Duration::from_millis(2))
-                .with_backend(backend),
-        )
-        .expect("tcp front starts");
-        check(server.local_addr(), &banner, &format!("node {backend:?}"));
-        server.shutdown();
-        service.shutdown();
-    }
+    let config = ServiceConfig::new().with_workers(1);
+    let service = CpiService::start(config.clone());
+    let banner = format!("{}\n", proto::banner(&config, true));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let server = proto::serve_tcp(
+        listener,
+        SessionSpec::open(service.client(), FitOptions::quick()),
+        TcpServerConfig::new(proto::banner(&config, true))
+            .with_poll_interval(Duration::from_millis(2)),
+    )
+    .expect("tcp front starts");
+    check(server.local_addr(), &banner, "node");
+    server.shutdown();
+    service.shutdown();
 }
 
 /// Runs `check` against every client-facing TCP front: a node's and a
-/// one-node cluster router's, each on both engines.
+/// one-node cluster router's.
 fn on_every_front(check: impl Fn(SocketAddr, &str, &str)) {
     on_node_fronts(&check);
-    for backend in [ServeBackend::Events, ServeBackend::Threads] {
-        let dir = std::env::temp_dir().join(format!(
-            "proto_properties_router_{}_{backend:?}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let harness = ClusterHarness::builder(dir.join("state"))
-            .with_router(
-                RouterConfig::new("router")
-                    .with_poll_interval(Duration::from_millis(2))
-                    .with_backend(backend),
-            )
-            .start()
-            .expect("cluster boots");
-        check(
-            harness.router_addr(),
-            "router\n",
-            &format!("router {backend:?}"),
-        );
-        harness.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = std::env::temp_dir().join(format!(
+        "proto_properties_router_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let harness = ClusterHarness::builder(dir.join("state"))
+        .with_router(RouterConfig::new("router").with_poll_interval(Duration::from_millis(2)))
+        .start()
+        .expect("cluster boots");
+    check(harness.router_addr(), "router\n", "router");
+    harness.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Writes `input` on a fresh connection and returns everything the
@@ -467,8 +454,8 @@ fn maximal_pushrecs() -> String {
     )
 }
 
-/// The largest internal frame is served by a node front on both
-/// engines, and the cap sits well above it.
+/// The largest internal frame is served by a node front, and the cap
+/// sits well above it.
 #[test]
 fn a_maximal_pushrecs_line_goes_through() {
     let line = maximal_pushrecs();

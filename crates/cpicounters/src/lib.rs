@@ -41,7 +41,7 @@ use std::fmt;
 /// Accumulating observer: sums lost dispatch cycles per cause.
 ///
 /// Attach to a simulation via
-/// [`run_workload_observed`](oosim::run::run_workload_observed), then
+/// [`run_workload_observed`], then
 /// convert to a [`TrueCpiStack`] with [`StackCounters::stack`].
 #[derive(Debug, Clone, Default)]
 pub struct StackCounters {

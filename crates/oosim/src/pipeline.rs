@@ -97,7 +97,7 @@ const DEP_WINDOW: usize = 512;
 /// 3 machines per paper run); hoisting this state into one scratch that
 /// each worker thread reuses across its whole chunk removes every per-call
 /// allocation from the hot path and keeps the rings cache-resident.
-/// Purely an allocation cache: [`SimScratch::prepare`] resets every entry,
+/// Purely an allocation cache: `SimScratch::prepare` resets every entry,
 /// so results are bit-identical whether the scratch is fresh or reused —
 /// across different machines too.
 ///

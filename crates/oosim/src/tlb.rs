@@ -1,7 +1,7 @@
 //! Translation lookaside buffer model.
 //!
 //! A TLB is structurally a small set-associative cache of page translations;
-//! we wrap [`Cache`](crate::cache::Cache) with page-granular addressing.
+//! we wrap [`Cache`] with page-granular addressing.
 
 use crate::cache::Cache;
 

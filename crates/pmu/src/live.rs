@@ -20,7 +20,7 @@
 //!   `perf-events` cargo feature. It samples the calling process's hardware
 //!   counters over a configurable window via raw syscalls (no libc
 //!   dependency) and maps the generic hardware events onto the subset of
-//!   [`Event`]s a stock PMU exposes; unmapped events read zero.
+//!   [`Event`](crate::Event)s a stock PMU exposes; unmapped events read zero.
 //!
 //! # Examples
 //!

@@ -214,7 +214,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy produced by [`vec`].
+    /// Strategy produced by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -24,18 +24,18 @@
 //! all with the constants given on the command line.
 //!
 //! Every pipeline failure surfaces as a typed
-//! [`PipelineError`](crate::PipelineError) naming the stage (collect →
+//! [`PipelineError`] naming the stage (collect →
 //! fit → export) that broke; only argument parsing has its own
 //! [`CliError::Usage`] variant.
 //!
 //! # The `serve` protocol and its two transports
 //!
-//! `cpistack serve` starts a [`CpiService`](crate::CpiService) session
+//! `cpistack serve` starts a [`CpiService`] session
 //! speaking the line protocol implemented by
 //! [`service::proto`](crate::service::proto) — one command per line in,
 //! zero or more payload lines plus exactly one terminator (`ok` or
 //! `err: <message>`) out; the session continues after errors. See the
-//! [`proto`](crate::service::proto) module docs for the command set
+//! [`proto`] module docs for the command set
 //! (including `binstack`, the length-prefixed binary framing for bulk
 //! stack streams).
 //!
@@ -63,7 +63,6 @@ use crate::model::{FitOptions, MicroarchParams};
 use crate::service::auth::{self, AuthError, TokenRegistry};
 use crate::service::cluster::{ClusterHarness, RouterConfig};
 use crate::service::persist::PersistError;
-use crate::service::poller::ServeBackend;
 use crate::service::{proto, stream, CpiService, ServiceConfig, ServiceError};
 use crate::{CsvSource, PipelineError, SimSource, Workbench};
 use std::fmt;
@@ -154,7 +153,6 @@ USAGE:
   cpistack serve [--workers <N>] [--cache <N>] [--quick] [--fit-threads <N>]
                  [--listen <addr>] [--state-dir <dir>] [--auth <token-file>]
                  [--idle-timeout <secs>] [--max-conns <N>] [--poll-interval <ms>]
-                 [--engine <events|threads>]
   cpistack cluster --state-dir <dir> [--nodes <N>] [--replicas <N>]
                  [--listen <addr>] [--workers <N>] [--cache <N>] [--quick]
                  [--auth <token-file>] [--idle-timeout <secs>] [--max-conns <N>]
@@ -200,10 +198,8 @@ SUBCOMMANDS:
          --auth <token-file> makes the server multi-tenant: every
          session must open with `hello <token>`, and each tenant gets
          its own machine namespace, cache quota and state subdirectory;
-         --poll-interval tunes the stop/idle polling tick in milliseconds;
-         --engine picks the TCP accept/dispatch engine: `events` (the
-         default readiness loop) or `threads` (one thread per connection,
-         the pre-event-loop behaviour — useful for A/B load tests)
+         --poll-interval tunes the TCP event loop's stop/idle timer tick
+         in milliseconds
   cluster
          start a multi-node serving tier in one process: N backend serve
          nodes plus a router that speaks the identical client protocol,
@@ -234,13 +230,13 @@ SUBCOMMANDS:
          equal objective-evaluation counts) and warm serve, then write a
          machine-readable snapshot (default BENCH_10.json), including a
          cluster section (router-hop overhead vs direct warm serve) and a
-         connection-scaling section (readiness-loop front vs the legacy
-         thread-per-connection engine under loadgen traffic). --threads
+         connection-scaling section (loadgen p99 of the event-loop front
+         and of the router at 4× the baseline connection count). --threads
          is one budget for the whole bench: the collect pool's worker
          count and each cold fit's multi-start fan-out cap (concurrent
          fits time-share it); --smoke runs reduced budgets for CI;
          --check <baseline> fails if cold-fit wall-clock regressed >25%
-         (cold collect >75%, readiness p99 >100%: noisier surfaces get
+         (cold collect >75%, event-loop p99 >100%: noisier surfaces get
          more slack) against a comparable baseline
   loadgen
          drive open-loop load at a running server (a `serve --listen`
@@ -436,9 +432,6 @@ pub struct ServeArgs {
     /// Stop/idle polling tick in milliseconds (`None` = the transport
     /// default, ~50 ms).
     pub poll_interval: Option<u64>,
-    /// TCP accept/dispatch engine (`None` = the transport default,
-    /// the readiness event loop).
-    pub engine: Option<ServeBackend>,
 }
 
 /// Arguments for the `cluster` subcommand.
@@ -562,7 +555,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             fit_threads: flag_count(&flags, "fit-threads")?,
             auth: flag_text(&flags, "auth"),
             poll_interval: flag_count(&flags, "poll-interval")?,
-            engine: flag_engine(&flags)?,
         })),
         "cluster" => Ok(Command::Cluster(ClusterArgs {
             state_dir: get("state-dir")?.to_owned(),
@@ -627,18 +619,6 @@ fn flag_text(flags: &[(String, String)], name: &str) -> Option<String> {
         .map(|(_, v)| v.clone())
 }
 
-/// The optional `--engine <events|threads>` flag as a [`ServeBackend`].
-fn flag_engine(flags: &[(String, String)]) -> Result<Option<ServeBackend>, CliError> {
-    match flag_text(flags, "engine").as_deref() {
-        None => Ok(None),
-        Some("events") => Ok(Some(ServeBackend::Events)),
-        Some("threads") => Ok(Some(ServeBackend::Threads)),
-        Some(other) => Err(CliError::Usage(format!(
-            "--engine must be `events` or `threads`, got `{other}`"
-        ))),
-    }
-}
-
 /// An optional `--name <value>` flag parsed as an unsigned count.
 fn flag_count<T: std::str::FromStr>(
     flags: &[(String, String)],
@@ -698,7 +678,6 @@ fn accepted_flags(sub: &str) -> Option<&'static [&'static str]> {
             "fit-threads",
             "auth",
             "poll-interval",
-            "engine",
         ],
         "cluster" => &[
             "state-dir",
@@ -1302,9 +1281,6 @@ pub fn serve(
         if let Some(ms) = args.poll_interval {
             tcp = tcp.with_poll_interval(std::time::Duration::from_millis(ms));
         }
-        if let Some(engine) = args.engine {
-            tcp = tcp.with_backend(engine);
-        }
         let listener = std::net::TcpListener::bind(addr.as_str())?;
         let server = proto::serve_tcp(listener, spec, tcp)?;
         writeln!(output, "listening {}", server.local_addr())?;
@@ -1508,6 +1484,10 @@ mod tests {
         // Flags are per subcommand: `--csv` belongs to `stack` only.
         let err = parse_args(&strings(&["demo", "--csv"])).unwrap_err();
         assert!(err.to_string().contains("--csv"), "{err}");
+        // The TCP front has one engine; the old selector must stay gone.
+        let err = parse_args(&strings(&["serve", "--engine", "events"])).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)));
+        assert!(err.to_string().contains("--engine"), "{err}");
         // The spelled-right versions still parse.
         parse_args(&strings(&["sweep", "--mshr", "8"])).unwrap();
         parse_args(&strings(&["bench", "--threads", "2"])).unwrap();
@@ -1572,28 +1552,6 @@ mod tests {
         // serve must be dispatched to serve(), not run().
         let err = run(&Command::Serve(ServeArgs::default())).unwrap_err();
         assert!(matches!(err, CliError::Usage(_)));
-    }
-
-    #[test]
-    fn parses_serve_engine_flag() {
-        let cmd = parse_args(&strings(&["serve", "--engine", "threads"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve(ServeArgs {
-                engine: Some(ServeBackend::Threads),
-                ..ServeArgs::default()
-            })
-        );
-        let cmd = parse_args(&strings(&["serve", "--engine", "events"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Serve(ServeArgs {
-                engine: Some(ServeBackend::Events),
-                ..ServeArgs::default()
-            })
-        );
-        let err = parse_args(&strings(&["serve", "--engine", "fibers"])).unwrap_err();
-        assert!(err.to_string().contains("--engine must be"));
     }
 
     #[test]
@@ -1800,6 +1758,93 @@ mod tests {
         );
         let err = parse_args(&strings(&["serve", "--idle-timeout", "soon"])).unwrap_err();
         assert!(err.to_string().contains("--idle-timeout must be a count"));
+    }
+
+    /// Forwards everything `serve` writes to a channel, so a test can
+    /// read the `listening <addr>` announcement while `serve` blocks.
+    struct ChannelWriter(std::sync::mpsc::Sender<Vec<u8>>);
+
+    impl Write for ChannelWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let _ = self.0.send(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `serve --listen` runs the TCP event loop with the transport flags
+    /// it was given: the announced address speaks the stdio banner,
+    /// `--max-conns 1` turns a second client away with exactly
+    /// `err: busy`, and a client's `shutdown` makes `serve` return.
+    #[test]
+    fn serve_listen_applies_transport_flags_and_stops_on_shutdown() {
+        use std::io::Read;
+        use std::net::TcpStream;
+        use std::time::Duration;
+
+        let args = ServeArgs {
+            workers: Some(1),
+            quick: true,
+            max_conns: Some(1),
+            poll_interval: Some(2),
+            ..ServeArgs::default()
+        };
+        let mut stdio = Vec::new();
+        serve(&args, std::io::Cursor::new("quit\n"), &mut stdio).expect("stdio session");
+        let stdio = String::from_utf8(stdio).unwrap();
+        let banner = format!("{}\n", stdio.lines().next().expect("stdio banner"));
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tcp_args = ServeArgs {
+            listen: Some("127.0.0.1:0".into()),
+            ..args
+        };
+        let server = std::thread::spawn(move || {
+            serve(&tcp_args, std::io::Cursor::new(""), ChannelWriter(tx))
+        });
+        let mut announced = Vec::new();
+        while !announced.ends_with(b"\n") {
+            let chunk = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("serve announces its address");
+            announced.extend_from_slice(&chunk);
+        }
+        let announced = String::from_utf8(announced).unwrap();
+        let addr = announced
+            .trim_end()
+            .strip_prefix("listening ")
+            .unwrap_or_else(|| panic!("unexpected announcement: {announced}"))
+            .to_owned();
+
+        // Bounded reads: a flag that failed to apply fails the test
+        // rather than waiting out the server's idle timeout.
+        let connect = |addr: &str| {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            stream
+        };
+        let mut admitted = connect(&addr);
+        let mut buf = vec![0u8; banner.len()];
+        admitted.read_exact(&mut buf).expect("banner");
+        assert_eq!(String::from_utf8_lossy(&buf), banner);
+
+        let mut over = connect(&addr);
+        let mut rejection = Vec::new();
+        over.read_to_end(&mut rejection).expect("read rejection");
+        assert_eq!(rejection, b"err: busy\n", "--max-conns 1 must hold");
+
+        admitted.write_all(b"shutdown\n").expect("shutdown");
+        let mut rest = String::new();
+        admitted.read_to_string(&mut rest).expect("drain to EOF");
+        server
+            .join()
+            .expect("serve thread")
+            .expect("serve returns cleanly after shutdown");
     }
 
     /// Runs one scripted serve session and returns its full transcript.

@@ -376,11 +376,9 @@
 //!
 //! ## Load-test the serving tier
 //!
-//! Every TCP front here is a readiness **event loop** by default — one
-//! thread drives all connections through
-//! [`service::poller::Poller`] (epoll on Linux, `poll(2)` elsewhere;
-//! [`ServeBackend::Threads`](service::poller::ServeBackend) restores
-//! thread-per-connection for A/B runs) — and [`loadgen`] is the
+//! Every TCP front here is one readiness **event loop** — one thread
+//! drives all connections through [`service::poller::Poller`], a
+//! `poll(2)` selector — and [`loadgen`] is the
 //! matching measurement harness: an **open-loop** generator that fires
 //! warm `stack`/`binstack` requests on a fixed per-connection schedule
 //! and measures each response against its *scheduled* send slot, so
@@ -442,9 +440,9 @@
 //! connections the harness measures the server, not client scheduler
 //! jitter. The CLI twin is `cpistack loadgen --connect <addr>`
 //! (`--budget-ms` makes it a CI gate), and `cpistack bench` records the
-//! connection-scaling comparison — the readiness engine sustaining 4×
-//! the thread engine's connection count at equal-or-better p99 — in
-//! `BENCH_10.json`.
+//! event-loop front's and the router's p99 at 4× the baseline
+//! connection count in `BENCH_10.json`, gating the front's against the
+//! committed baseline.
 //!
 //! ## Performance: parallel cold paths, a tracked baseline
 //!

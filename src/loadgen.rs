@@ -16,17 +16,15 @@
 //! coordinated-omission trap of closed-loop harnesses). Latency is
 //! measured from the *scheduled* send time to response completion.
 //!
-//! Three consumers share this engine: the `cpistack loadgen` CLI
-//! subcommand, the `BENCH_9.json` connection-scaling section in
+//! Three consumers share this harness: the `cpistack loadgen` CLI
+//! subcommand, the `bench` connection-scaling section in
 //! [`perf`](crate::perf), and the `loadgen_soak` integration suite
 //! (which additionally pins every response byte-identical to a
 //! sequential `Workbench::fit` baseline via [`RequestTemplate::expect`]).
 
 use crate::service::poller::{raw_fd, Interest, PollEvent, Poller};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// One request in the per-connection round-robin script.
@@ -208,13 +206,13 @@ struct ConnOutcome {
 /// The generator itself is multiplexed: one thread drives every
 /// connection off the same readiness [`Poller`] the serving loop runs
 /// on, so measured tail latency reflects the server, not scheduler
-/// jitter from hundreds of generator threads. Platforms without a
-/// poller fall back to a thread pair per connection.
+/// jitter from hundreds of generator threads.
 ///
 /// # Errors
 ///
-/// Only configuration errors (an empty request script) fail the call;
-/// connection-level failures are tallied as `dropped` in the report.
+/// Only setup errors fail the call: an empty request script, or a
+/// platform without a poller ([`std::io::ErrorKind::Unsupported`]).
+/// Connection-level failures are tallied as `dropped` in the report.
 pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
     if config.requests.is_empty() {
         return Err(std::io::Error::new(
@@ -222,10 +220,7 @@ pub fn run(config: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
             "loadgen needs at least one request template",
         ));
     }
-    match Poller::new() {
-        Ok(poller) => run_events(config, poller),
-        Err(_) => Ok(run_threads(config)),
-    }
+    run_events(config, Poller::new()?)
 }
 
 /// Folds per-connection outcomes into the report.
@@ -262,36 +257,8 @@ fn assemble(
     }
 }
 
-/// The portable fallback engine: a writer + reader thread pair per
-/// connection, gated on a shared barrier.
-fn run_threads(config: &LoadgenConfig) -> LoadgenReport {
-    let start_gate = Arc::new(Barrier::new(config.connections));
-    let started = Instant::now();
-    let outcomes: Vec<ConnOutcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.connections)
-            .map(|i| {
-                let gate = Arc::clone(&start_gate);
-                scope.spawn(move || drive_connection(config, i, &gate))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or(ConnOutcome {
-                    sent: 0,
-                    completed: 0,
-                    errors: 0,
-                    dropped: true,
-                    latencies: Vec::new(),
-                })
-            })
-            .collect()
-    });
-    assemble(config, outcomes, started.elapsed())
-}
-
 // ---------------------------------------------------------------------------
-// The multiplexed (readiness-loop) generator engine
+// The multiplexed (readiness-loop) generator
 // ---------------------------------------------------------------------------
 
 /// Where one multiplexed connection is in its session.
@@ -722,177 +689,4 @@ fn run_events(config: &LoadgenConfig, mut poller: Poller) -> std::io::Result<Loa
 
     outcomes.extend(conns.iter().map(EventConn::outcome));
     Ok(assemble(config, outcomes, started.elapsed()))
-}
-
-/// One connection's whole life: connect, banner, optional handshake,
-/// barrier, open-loop writer + response reader, drain.
-fn drive_connection(config: &LoadgenConfig, index: usize, gate: &Barrier) -> ConnOutcome {
-    let dropped = ConnOutcome {
-        sent: 0,
-        completed: 0,
-        errors: 0,
-        dropped: true,
-        latencies: Vec::new(),
-    };
-    let Ok(stream) = TcpStream::connect_timeout(&config.addr, config.connect_timeout) else {
-        gate.wait();
-        return dropped;
-    };
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        gate.wait();
-        return dropped;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    // Banner (one line). An over-cap server answers `err: busy` here.
-    let mut banner = String::new();
-    if reader.read_line(&mut banner).unwrap_or(0) == 0 || banner.starts_with("err:") {
-        gate.wait();
-        return dropped;
-    }
-    if let Some(token) = &config.hello {
-        if writer
-            .write_all(format!("hello {token}\n").as_bytes())
-            .is_err()
-        {
-            gate.wait();
-            return dropped;
-        }
-        match read_response(&mut reader) {
-            Some((_, true)) => {}
-            _ => {
-                gate.wait();
-                return dropped;
-            }
-        }
-    }
-    gate.wait();
-
-    // Writer side runs on this thread's schedule; the reader side runs
-    // concurrently so open-loop pipelining never blocks the cadence.
-    // Both sides time against the same `begin` Instant: request k is
-    // scheduled at `phase + k·interval`, and its latency is measured
-    // from that slot (not from the actual, possibly late, write).
-    let sent_count = AtomicU64::new(0);
-    let interval = Duration::from_secs_f64(1.0 / config.rate);
-    // Stagger connection phases uniformly across the whole fleet so the
-    // aggregate arrival process is smooth: with N connections the wire
-    // sees one request every interval/N, never an N-wide burst.
-    let phase = interval.mul_f64(index as f64 / config.connections.max(1) as f64);
-    let begin = Instant::now();
-    std::thread::scope(|scope| {
-        let sent_ref = &sent_count;
-        let requests = &config.requests;
-        let reader_handle =
-            scope.spawn(move || read_loop(reader, requests, sent_ref, begin, phase, interval));
-        let mut sent: u64 = 0;
-        loop {
-            let due = begin + phase + interval.mul_f64(sent as f64);
-            let now = Instant::now();
-            if now < due {
-                std::thread::sleep(due - now);
-            }
-            if begin.elapsed() >= config.duration {
-                break;
-            }
-            let template = &config.requests[(sent as usize) % config.requests.len()];
-            // Publish the new count *before* writing: a fast response
-            // must never race past a stale counter and be mistaken for
-            // the quit ack. (Overshoot on a failed write is harmless —
-            // the connection is marked dropped below.)
-            sent_count.store(sent + 1, Ordering::SeqCst);
-            if writer
-                .write_all(format!("{}\n", template.line).as_bytes())
-                .is_err()
-            {
-                break;
-            }
-            sent += 1;
-        }
-        // Close the session; the reader drains to the `quit` ack (EOF).
-        let quit_sent = writer.write_all(b"quit\n").is_ok();
-        let (completed, errors, latencies, saw_quit_ack) =
-            reader_handle.join().unwrap_or((0, 0, Vec::new(), false));
-        let dropped = !quit_sent || !saw_quit_ack || completed < sent;
-        ConnOutcome {
-            sent,
-            completed,
-            errors,
-            dropped,
-            latencies,
-        }
-    })
-}
-
-/// Reads responses until EOF, timing each against its scheduled send
-/// slot. Returns `(completed, errors, latencies, saw_final_ok)` where
-/// the final `ok` is the `quit` acknowledgement.
-fn read_loop(
-    mut reader: BufReader<TcpStream>,
-    requests: &[RequestTemplate],
-    sent: &AtomicU64,
-    begin: Instant,
-    phase: Duration,
-    interval: Duration,
-) -> (u64, u64, Vec<Duration>, bool) {
-    let mut completed: u64 = 0;
-    let mut errors: u64 = 0;
-    let mut latencies = Vec::new();
-    let mut last_ok = false;
-    while let Some((response, terminated_ok)) = read_response(&mut reader) {
-        let now = begin.elapsed();
-        let in_flight = sent.load(Ordering::SeqCst);
-        if completed < in_flight {
-            // A measured response (not the quit ack). Responses return
-            // in send order (one session, FIFO), so response number k
-            // answers request k, which was scheduled at phase + k·dt.
-            let template = &requests[(completed as usize) % requests.len()];
-            let ok = match &template.expect {
-                Some(expect) => response == *expect,
-                None => terminated_ok,
-            };
-            if !ok {
-                errors += 1;
-            }
-            let scheduled = phase + interval.mul_f64(completed as f64);
-            latencies.push(now.saturating_sub(scheduled));
-            completed += 1;
-            last_ok = false;
-        } else {
-            last_ok = terminated_ok;
-        }
-    }
-    (completed, errors, latencies, last_ok)
-}
-
-/// Reads one complete protocol response: payload lines, any announced
-/// binary frame, and the `ok` / `err:` terminator. Returns the raw
-/// response bytes plus whether the terminator was `ok` (the terminator
-/// must be identified while reading lines — a binary frame's payload can
-/// contain `\n` bytes, so scanning backwards from the end is unsound).
-/// `None` on EOF or transport error mid-response.
-fn read_response(reader: &mut BufReader<TcpStream>) -> Option<(Vec<u8>, bool)> {
-    let mut response = Vec::new();
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).ok()? == 0 {
-            return None;
-        }
-        response.extend_from_slice(line.as_bytes());
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if trimmed == "ok" {
-            return Some((response, true));
-        }
-        if trimmed.starts_with("err:") {
-            return Some((response, false));
-        }
-        // `frame <kind> <len>`: exactly `len` raw bytes follow.
-        if let Some(rest) = trimmed.strip_prefix("frame ") {
-            let len: usize = rest.split_whitespace().nth(1)?.parse().ok()?;
-            let mut frame = vec![0u8; len];
-            reader.read_exact(&mut frame).ok()?;
-            response.extend_from_slice(&frame);
-        }
-    }
 }

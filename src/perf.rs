@@ -27,13 +27,12 @@
 //! saves per workload is reported alongside.
 //!
 //! Since the readiness-loop fronts (PR 8), a **connection-scaling**
-//! section drives the [`loadgen`](crate::loadgen) harness at three
-//! targets over the same warm model: the legacy thread-per-connection
-//! engine at the baseline connection count, the readiness event loop at
-//! 4× that count, and the cluster router (readiness engine) at 4× — each
-//! an open-loop campaign asserting zero in-band errors and zero dropped
-//! connections, with the p99 latencies recorded. That turns the event
-//! loop's connection-ceiling claim into a tracked number.
+//! section drives the [`loadgen`] harness at two targets
+//! over the same warm model: the node's event-loop front and the cluster
+//! router, each at 4× the baseline connection count — each an open-loop
+//! campaign asserting zero in-band errors and zero dropped connections,
+//! with the p99 latencies recorded. That turns the event loop's
+//! connection-ceiling claim into a tracked, gated number.
 //!
 //! Since the work-stealing collect pool (PR 9), the cold-collect section
 //! times the parallel campaign **and** a strictly-sequential reference,
@@ -64,7 +63,6 @@ use crate::loadgen::{self, LoadgenConfig};
 use crate::model::workbench::{SimSource, Workbench};
 use crate::model::FitOptions;
 use crate::service::cluster::{ClusterHarness, RouterConfig};
-use crate::service::poller::ServeBackend;
 use crate::service::proto::{self, SessionSpec, TcpServerConfig};
 use crate::service::sweep::{SweepGrid, SweepSpec};
 use crate::service::{stream, CpiService, ModelKey, RefitMode, Response, ServiceConfig};
@@ -93,9 +91,8 @@ pub struct BenchConfig {
     pub threads: usize,
     /// Warm-serve repetitions per model key.
     pub warm_iters: usize,
-    /// Connection-scaling baseline: the thread-per-connection engine is
-    /// measured at this many concurrent connections, the readiness
-    /// engine and the router at 4× as many.
+    /// Connection-scaling baseline: the event-loop front and the router
+    /// are each measured at 4× this many concurrent connections.
     pub conns: usize,
 }
 
@@ -218,18 +215,13 @@ pub struct BenchReport {
     /// Open-loop request rate per connection in the scaling sections,
     /// requests/second.
     pub loadgen_rate: f64,
-    /// Connections sustained by the legacy thread-per-connection engine
-    /// (zero errors, zero drops).
-    pub serve_threads_conns: usize,
-    /// p99 latency at that load on the threaded engine, ms.
-    pub serve_threads_p99_ms: f64,
-    /// Connections sustained by the readiness event loop — 4× the
-    /// threaded baseline by construction.
+    /// Connections sustained by the node's event-loop front (zero
+    /// errors, zero drops) — 4× the baseline by construction.
     pub serve_events_conns: usize,
-    /// p99 latency at that load on the readiness engine, ms.
+    /// p99 latency at that load on the event-loop front, ms.
     pub serve_events_p99_ms: f64,
-    /// Connections sustained through the cluster router (readiness
-    /// engine, backed by pooled per-node connections).
+    /// Connections sustained through the cluster router (backed by
+    /// pooled per-node connections).
     pub router_events_conns: usize,
     /// p99 latency at that load through the router, ms.
     pub router_events_p99_ms: f64,
@@ -305,16 +297,6 @@ impl BenchReport {
         let _ = writeln!(s, "  \"sweep_cold_rate\": {:.2},", self.sweep_cold_rate);
         let _ = writeln!(s, "  \"sweep_warm_rate\": {:.1},", self.sweep_warm_rate);
         let _ = writeln!(s, "  \"loadgen_rate\": {:.1},", self.loadgen_rate);
-        let _ = writeln!(
-            s,
-            "  \"serve_threads_conns\": {},",
-            self.serve_threads_conns
-        );
-        let _ = writeln!(
-            s,
-            "  \"serve_threads_p99_ms\": {:.3},",
-            self.serve_threads_p99_ms
-        );
         let _ = writeln!(s, "  \"serve_events_conns\": {},", self.serve_events_conns);
         let _ = writeln!(
             s,
@@ -351,9 +333,8 @@ impl BenchReport {
              warm-up        quarter-length streaming warm-up saves {} µops/workload\n\
              sweep          {:>10.1} ms cold / {:.1} ms warm re-sweep over {} variants → \
              {:.2} / {:.0} variants/s (warm pass simulates and refits nothing)\n\
-             connections    threads {} conns p99 {:.3} ms | events {} conns p99 {:.3} ms \
-             ({:.0} req/s aggregate open-loop) | router {} conns p99 {:.3} ms (half aggregate; \
-             zero errors/drops throughout)\n",
+             connections    events {} conns p99 {:.3} ms ({:.0} req/s aggregate open-loop) \
+             | router {} conns p99 {:.3} ms (half aggregate; zero errors/drops throughout)\n",
             self.mode,
             self.benchmarks,
             self.machines,
@@ -383,11 +364,9 @@ impl BenchReport {
             self.sweep_variants,
             self.sweep_cold_rate,
             self.sweep_warm_rate,
-            self.serve_threads_conns,
-            self.serve_threads_p99_ms,
             self.serve_events_conns,
             self.serve_events_p99_ms,
-            self.loadgen_rate * self.serve_threads_conns as f64,
+            self.loadgen_rate * self.config.conns as f64,
             self.router_events_conns,
             self.router_events_p99_ms,
         )
@@ -501,7 +480,7 @@ fn timed_warm_stacks(conn: &mut BufReader<TcpStream>, iters: usize) -> f64 {
 struct ScalingLoad {
     rate: f64,
     duration: Duration,
-    /// Campaigns per engine; the recorded p99 is the median. On a small
+    /// Campaigns per front; the recorded p99 is the median. On a small
     /// box the scheduler's bad luck can double a single campaign's tail,
     /// so full mode runs three and smoke (CI) keeps one for speed.
     trials: usize,
@@ -517,7 +496,7 @@ impl ScalingLoad {
             }
         } else {
             // 64 conns × 5 req/s = 320 req/s aggregate: comfortably
-            // below the single-loop engines' rendering saturation on a
+            // below the single-loop fronts' rendering saturation on a
             // small box, so every section measures steady-state latency
             // rather than queue backlog. Four seconds per campaign keeps
             // the p99 from being set by a single scheduler stall.
@@ -576,10 +555,9 @@ fn scaling_loadgen(
 }
 
 /// The direct-serve half of the connection-scaling section: one warm
-/// service fronted twice — by the legacy thread-per-connection engine at
-/// the baseline connection count and by the readiness event loop at 4×.
-/// Returns `(threads p99 ms, events p99 ms)`.
-fn connection_bench(config: &BenchConfig, records: &[RunRecord]) -> (f64, f64) {
+/// service fronted by the event loop at 4× the baseline connection
+/// count. Returns the p99 in ms.
+fn connection_bench(config: &BenchConfig, records: &[RunRecord]) -> f64 {
     let machine = MachineConfig::core2();
     let core2: Vec<RunRecord> = records
         .iter()
@@ -599,50 +577,34 @@ fn connection_bench(config: &BenchConfig, records: &[RunRecord]) -> (f64, f64) {
         ))
         .expect("warm fit");
     let spec = SessionSpec::open(client, options);
-    let load = ScalingLoad::of(config);
-    let front = |backend: ServeBackend, cap: usize| {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind bench front");
-        proto::serve_tcp(
-            listener,
-            spec.clone(),
-            TcpServerConfig::new("cpistack bench")
-                .with_idle_timeout(None)
-                .with_poll_interval(Duration::from_millis(2))
-                .with_max_connections(cap)
-                .with_backend(backend),
-        )
-        .expect("bench front starts")
-    };
-
-    let threads_front = front(ServeBackend::Threads, config.conns + 8);
-    let threads_p99 = scaling_loadgen(
-        threads_front.local_addr(),
-        config.conns,
-        1,
-        &load,
-        "threaded engine",
-    );
-    threads_front.shutdown();
-
     let events_conns = config.conns * 4;
-    let events_front = front(ServeBackend::Events, events_conns + 8);
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind bench front");
+    let front = proto::serve_tcp(
+        listener,
+        spec,
+        TcpServerConfig::new("cpistack bench")
+            .with_idle_timeout(None)
+            .with_poll_interval(Duration::from_millis(2))
+            .with_max_connections(events_conns + 8),
+    )
+    .expect("bench front starts");
     let events_p99 = scaling_loadgen(
-        events_front.local_addr(),
+        front.local_addr(),
         events_conns,
         4,
-        &load,
-        "readiness engine",
+        &ScalingLoad::of(config),
+        "event-loop front",
     );
-    events_front.shutdown();
+    front.shutdown();
     service.shutdown();
-    (threads_p99, events_p99)
+    events_p99
 }
 
 /// The cluster section of the bench: boots a 3-node tier, fits Core 2 /
 /// CPU2000 once through the router (untimed), then times the same warm
 /// `stack` request direct-to-owner and through the router, and finally
 /// drives the router half of the connection-scaling section (4× the
-/// baseline connection count through the readiness-engine router).
+/// baseline connection count through the router).
 /// Returns `(direct ms, router ms, router loadgen p99 ms)`.
 ///
 /// The fit itself uses [`FitOptions::quick`] — the section measures the
@@ -696,8 +658,8 @@ fn cluster_warm_bench(config: &BenchConfig, records: &[RunRecord]) -> (f64, f64,
     let direct_ms = timed_warm_stacks(&mut direct, config.warm_iters);
     let router_ms = timed_warm_stacks(&mut router, config.warm_iters);
 
-    // Router scaling: the same warm traffic at 4× the threaded
-    // baseline's connection count through the router, at HALF the
+    // Router scaling: the same warm traffic at 4× the baseline
+    // connection count through the router, at HALF the
     // direct sections' aggregate rate (scale 8, not 4). One readiness
     // loop proxies both directions of every request here while the
     // 3-node tier shares the same cores, so the direct sections' full
@@ -993,8 +955,8 @@ pub fn run_bench(config: BenchConfig) -> BenchReport {
     let (cluster_warm_direct_ms, cluster_warm_router_ms, router_events_p99_ms) =
         cluster_warm_bench(&config, &records);
 
-    // --- Connection scaling: threaded engine vs readiness loop. --------
-    let (serve_threads_p99_ms, serve_events_p99_ms) = connection_bench(&config, &records);
+    // --- Connection scaling: the node's event-loop front at 4×. --------
+    let serve_events_p99_ms = connection_bench(&config, &records);
     let scaling_load = ScalingLoad::of(&config);
 
     // --- Streaming: incremental vs full refit on a jittered stream. ----
@@ -1038,8 +1000,6 @@ pub fn run_bench(config: BenchConfig) -> BenchReport {
         sweep_cold_rate: sweep.variants as f64 / (sweep.cold_ms / 1e3).max(1e-9),
         sweep_warm_rate: sweep.variants as f64 / (sweep.warm_ms / 1e3).max(1e-9),
         loadgen_rate: scaling_load.rate,
-        serve_threads_conns: config.conns,
-        serve_threads_p99_ms,
         serve_events_conns: config.conns * 4,
         serve_events_p99_ms,
         router_events_conns: config.conns * 4,
@@ -1072,7 +1032,7 @@ fn json_string<'t>(text: &'t str, key: &str) -> Option<&'t str> {
 /// compares this run's cold-fit wall-clock against a committed baseline
 /// and fails when it regressed beyond `tolerance` (0.25 = +25%). The
 /// noisier surfaces get proportionally more slack: cold collect at 3×
-/// the tolerance, readiness-engine p99 at 4×.
+/// the tolerance, event-loop front p99 at 4×.
 ///
 /// Runs with different `config_fingerprint`s are incomparable (different
 /// scale, suite set or fit options) and pass with a note — the gate never
@@ -1137,10 +1097,10 @@ pub fn check_against(
             current.cold_collect_ms, collect_limit
         );
     }
-    // Schema-4 baselines also gate the readiness engine's p99 under the
+    // Schema-4 baselines also gate the event-loop front's p99 under the
     // connection-scaling load. Latency tails are far noisier than a
     // six-fit wall-clock, so the slack is 4× the cold-fit tolerance
-    // (+100% at the default 0.25) — the gate catches an engine that
+    // (+100% at the default 0.25) — the gate catches a front that
     // collapsed, not one that wobbled. Schema-3 baselines lack the field
     // and skip this check.
     let mut p99_note = String::new();
@@ -1148,7 +1108,7 @@ pub fn check_against(
         let p99_limit = base_p99 * (1.0 + 4.0 * tolerance);
         if current.serve_events_p99_ms > p99_limit {
             return Err(format!(
-                "readiness-engine p99 regressed: {:.3} ms vs baseline {:.3} ms (limit {:.3} ms)",
+                "event-loop front p99 regressed: {:.3} ms vs baseline {:.3} ms (limit {:.3} ms)",
                 current.serve_events_p99_ms, base_p99, p99_limit
             ));
         }
@@ -1200,8 +1160,8 @@ mod tests {
             seed: 7,
             threads: 0,
             warm_iters: 1,
-            // Keeps the scaling sections cheap in unit tests: threads at
-            // 2 connections, events and router at 8.
+            // Keeps the scaling sections cheap in unit tests: the
+            // event-loop front and the router at 8 connections.
             conns: 2,
         }
     }
@@ -1229,13 +1189,11 @@ mod tests {
             report.stream_speedup
         );
         assert_eq!(report.warmup_saved_uops, 750, "1000 µops - 250 warm-up");
-        // Connection scaling: the readiness engine and the router carried
-        // 4× the threaded baseline with zero errors/drops (asserted
-        // inside the sections) and real latency numbers.
-        assert_eq!(report.serve_threads_conns, 2);
+        // Connection scaling: the event-loop front and the router carried
+        // 4× the baseline with zero errors/drops (asserted inside the
+        // sections) and real latency numbers.
         assert_eq!(report.serve_events_conns, 8);
         assert_eq!(report.router_events_conns, 8);
-        assert!(report.serve_threads_p99_ms > 0.0);
         assert!(report.serve_events_p99_ms > 0.0);
         assert!(report.router_events_p99_ms > 0.0);
         // The collect reference leg ran and the speedup is a real ratio
@@ -1345,8 +1303,6 @@ mod tests {
             sweep_cold_rate: 80.0,
             sweep_warm_rate: 8000.0,
             loadgen_rate: 20.0,
-            serve_threads_conns: 2,
-            serve_threads_p99_ms: 1.0,
             serve_events_conns: 8,
             serve_events_p99_ms: 1.0,
             router_events_conns: 8,

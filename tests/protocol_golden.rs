@@ -1,14 +1,12 @@
 //! Golden-file protocol tests: scripted serve sessions (requests plus
 //! expected responses) checked in under `tests/golden/`, replayed against
-//! **all four** protocol fronts — stdio, TCP on the readiness event
-//! loop, TCP on the legacy thread-per-connection engine, and the cluster
-//! router (a one-node cluster, so every counter-bearing line stays
-//! pinned) — from one shared harness. Any drift in the command surface,
-//! an error message, the stats line or the banner fails these tests
-//! loudly, with a diff against the file. The router front doubles as the
-//! tentpole proof that the cluster tier is protocol-transparent, and the
-//! two TCP engines pin the readiness loop to the threaded engine's exact
-//! wire bytes: clients cannot tell any front from any other.
+//! **all three** protocol fronts — stdio, TCP on the readiness event
+//! loop, and the cluster router (a one-node cluster, so every
+//! counter-bearing line stays pinned) — from one shared harness. Any
+//! drift in the command surface, an error message, the stats line or the
+//! banner fails these tests loudly, with a diff against the file. The
+//! router front doubles as the proof that the cluster tier is
+//! protocol-transparent: clients cannot tell any front from any other.
 //!
 //! Golden-file format: `#` lines are comments, `> ` lines are sent to the
 //! session in order, every other line is expected output. The expected
@@ -32,7 +30,6 @@ use cpistack::cli::{self, ServeArgs};
 use cpistack::model::FitOptions;
 use cpistack::service::auth::TokenRegistry;
 use cpistack::service::cluster::{ClusterHarness, RouterConfig};
-use cpistack::service::poller::ServeBackend;
 use cpistack::service::{proto, CpiService, ServiceConfig};
 use cpistack::sim::machine::MachineConfig;
 use cpistack::SimSource;
@@ -134,9 +131,8 @@ fn stdio_transcript(script: &str, auth: bool) -> Vec<u8> {
 }
 
 /// Runs the same script through a TCP front (fresh service, ephemeral
-/// port) on the chosen connection engine and returns the raw transcript
-/// the socket carried.
-fn tcp_transcript(script: &str, auth: bool, backend: ServeBackend) -> Vec<u8> {
+/// port) and returns the raw transcript the socket carried.
+fn tcp_transcript(script: &str, auth: bool) -> Vec<u8> {
     let config = service_config();
     let service = CpiService::start(config.clone());
     let spec = if auth {
@@ -149,8 +145,7 @@ fn tcp_transcript(script: &str, auth: bool, backend: ServeBackend) -> Vec<u8> {
         listener,
         spec,
         proto::TcpServerConfig::new(proto::banner(&config, true))
-            .with_poll_interval(Duration::from_millis(2))
-            .with_backend(backend),
+            .with_poll_interval(Duration::from_millis(2)),
     )
     .expect("tcp front starts");
     let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect");
@@ -219,21 +214,11 @@ fn check_golden(name: &str) {
         "{}",
         diff_for(&format!("stdio:{name}"), &stdio, &golden.expected)
     );
-    let tcp_events = tcp_transcript(&golden.script, auth, ServeBackend::Events);
+    let tcp = tcp_transcript(&golden.script, auth);
     assert!(
-        tcp_events == golden.expected,
+        tcp == golden.expected,
         "{}",
-        diff_for(&format!("tcp-events:{name}"), &tcp_events, &golden.expected)
-    );
-    let tcp_threads = tcp_transcript(&golden.script, auth, ServeBackend::Threads);
-    assert!(
-        tcp_threads == golden.expected,
-        "{}",
-        diff_for(
-            &format!("tcp-threads:{name}"),
-            &tcp_threads,
-            &golden.expected
-        )
+        diff_for(&format!("tcp:{name}"), &tcp, &golden.expected)
     );
     let router = router_transcript(&golden.script, auth);
     assert!(
@@ -291,19 +276,12 @@ fn fit_session_is_byte_identical_across_fronts() {
         path = csv.display()
     );
     let stdio = stdio_transcript(&script, false);
-    let tcp = tcp_transcript(&script, false, ServeBackend::Events);
+    let tcp = tcp_transcript(&script, false);
     assert!(
         stdio == tcp,
         "fronts diverged.\n--- stdio ---\n{}\n--- tcp ---\n{}",
         String::from_utf8_lossy(&stdio),
         String::from_utf8_lossy(&tcp),
-    );
-    let threaded = tcp_transcript(&script, false, ServeBackend::Threads);
-    assert!(
-        threaded == tcp,
-        "tcp engines diverged.\n--- events ---\n{}\n--- threads ---\n{}",
-        String::from_utf8_lossy(&tcp),
-        String::from_utf8_lossy(&threaded),
     );
     let router = router_transcript(&script, false);
     assert!(
@@ -357,19 +335,12 @@ fn authenticated_fit_session_is_byte_identical_across_fronts() {
         path = csv.display()
     );
     let stdio = stdio_transcript(&script, true);
-    let tcp = tcp_transcript(&script, true, ServeBackend::Events);
+    let tcp = tcp_transcript(&script, true);
     assert!(
         stdio == tcp,
         "fronts diverged.\n--- stdio ---\n{}\n--- tcp ---\n{}",
         String::from_utf8_lossy(&stdio),
         String::from_utf8_lossy(&tcp),
-    );
-    let threaded = tcp_transcript(&script, true, ServeBackend::Threads);
-    assert!(
-        threaded == tcp,
-        "tcp engines diverged.\n--- events ---\n{}\n--- threads ---\n{}",
-        String::from_utf8_lossy(&tcp),
-        String::from_utf8_lossy(&threaded),
     );
     let router = router_transcript(&script, true);
     assert!(
