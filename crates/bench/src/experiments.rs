@@ -9,7 +9,7 @@ use cpicounters::measure_stack;
 use memodel::baselines::{BaselineKind, EmpiricalModel};
 use memodel::delta::suite_delta;
 use memodel::eval::{evaluate_baseline, evaluate_model, prediction_cdf, summarize, Prediction};
-use memodel::{MicroarchParams, ModelInputs};
+use memodel::MicroarchParams;
 use oosim::machine::MachineConfig;
 use pmu::{MachineId, Suite};
 use report::{cdf_plot, grouped_bars, scatter_plot, signed_bars, Table};
@@ -430,28 +430,4 @@ pub fn ablations(campaign: &Campaign) -> String {
         );
     }
     out
-}
-
-/// A one-line sanity statistic used by integration tests: the overall mean
-/// in-suite error across all six (machine, suite) fits.
-pub fn mean_in_suite_error(campaign: &Campaign) -> f64 {
-    let mut total = 0.0;
-    let mut n = 0.0;
-    for suite in Suite::ALL {
-        for id in MachineId::ALL {
-            let preds = evaluate_model(campaign.model(id, suite), campaign.records(id, suite));
-            total += summarize(&preds).mean;
-            n += 1.0;
-        }
-    }
-    total / n
-}
-
-/// Convenience: per-benchmark model inputs for external analysis dumps.
-pub fn inputs_for(campaign: &Campaign, id: MachineId, suite: Suite) -> Vec<ModelInputs> {
-    campaign
-        .records(id, suite)
-        .iter()
-        .map(ModelInputs::from_record)
-        .collect()
 }

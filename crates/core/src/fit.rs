@@ -102,18 +102,6 @@ impl FitOptions {
         self
     }
 
-    /// Sets the objective-evaluation budget per start.
-    pub fn with_max_evals(mut self, max_evals: usize) -> Self {
-        self.max_evals = max_evals;
-        self
-    }
-
-    /// Switches to the absolute squared-error criterion (ablation only).
-    pub fn with_absolute_objective(mut self, absolute: bool) -> Self {
-        self.absolute_objective = absolute;
-        self
-    }
-
     /// Sets the interval cap of Eq. 2.
     pub fn with_interval_cap(mut self, cap: f64) -> Self {
         self.interval_cap = cap;

@@ -1300,12 +1300,6 @@ impl RefitPolicy {
         self.full_every = every.max(1);
         self
     }
-
-    /// Sets the drift bound (minimum 1.0).
-    pub fn with_drift_factor(mut self, factor: f64) -> Self {
-        self.drift_factor = factor.max(1.0);
-        self
-    }
 }
 
 impl Default for ServiceConfig {

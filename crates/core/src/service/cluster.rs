@@ -9,7 +9,10 @@
 //!
 //! Three layers stack up here:
 //!
-//! - **Routing** — [`HashRing`] with virtual nodes for balance; each
+//! - **Routing** — [`HashRing`] with virtual nodes for balance. A
+//!   design-space variant (`core2+rob64`) hashes by its base preset, so a
+//!   `sweep` runs whole on the base's owner, byte-identical to a single
+//!   node, and every variant model it serves lives there too. Each
 //!   session pins commands without a machine argument (`stats`, `help`,
 //!   errors) to its *focus node* — the last node a machine-bearing
 //!   command routed to — so a session's counters accumulate in one place.
@@ -34,10 +37,10 @@ use super::auth::TokenRegistry;
 use super::persist::fnv64_update;
 use super::poller::{self, Dispatch, LoopConfig, Poller};
 use super::proto::{self, SessionSpec, TcpServer, TcpServerConfig, DEFAULT_POLL_INTERVAL};
-use super::sweep::{self, SweepGrid, SweepSpec};
+use super::sweep;
 use super::{CpiService, ServiceConfig};
 use crate::fit::FitOptions;
-use pmu::{MachineId, Suite};
+use pmu::MachineId;
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -241,17 +244,6 @@ pub enum ClusterError {
         /// The offending name.
         node: String,
     },
-    /// A partitioned sweep lost part of its grid: the surviving
-    /// variants' lines (and a partial summary) were already streamed
-    /// in-band before this terminator, which names exactly what is
-    /// missing and why.
-    SweepPartial {
-        /// Expansion-order names of the variants whose slice failed.
-        lost: Vec<String>,
-        /// The failure that took the slice out (a dead node, or the
-        /// backend's own error line).
-        detail: String,
-    },
     /// Client-side transport failure (ends the proxy session).
     Io(std::io::Error),
 }
@@ -264,9 +256,6 @@ impl std::fmt::Display for ClusterError {
             }
             ClusterError::NoBackends => write!(f, "no live backend nodes"),
             ClusterError::UnknownNode { node } => write!(f, "unknown node `{node}`"),
-            ClusterError::SweepPartial { lost, detail } => {
-                write!(f, "sweep partial: lost {} ({detail})", lost.join(" "))
-            }
             ClusterError::Io(e) => write!(f, "client transport error: {e}"),
         }
     }
@@ -278,6 +267,16 @@ impl From<std::io::Error> for ClusterError {
     fn from(e: std::io::Error) -> Self {
         ClusterError::Io(e)
     }
+}
+
+/// The ring key a routed machine word hashes by. A design-space variant
+/// (`core2+rob64`) lives with its base preset (`core2`), so a sweep, its
+/// base and every variant model it serves share one owner; any other
+/// word routes by its raw text.
+fn ring_key(machine: &str) -> &str {
+    machine
+        .parse::<MachineId>()
+        .map_or(machine, |id| id.base().name())
 }
 
 /// One member in the cluster map.
@@ -336,7 +335,7 @@ impl ClusterMap {
     /// are walked past, so after a failure this *is* the failover target.
     fn route(&self, tenant: &str, machine: &str) -> Result<NodeInfo, ClusterError> {
         self.ring
-            .node_for_filtered(tenant, machine, |n| self.alive(n))
+            .node_for_filtered(tenant, ring_key(machine), |n| self.alive(n))
             .and_then(|name| self.info(name))
             .cloned()
             .ok_or(ClusterError::NoBackends)
@@ -346,17 +345,10 @@ impl ClusterMap {
     /// the failover/replica chain.
     fn ordered_alive(&self, tenant: &str, machine: &str) -> Vec<NodeInfo> {
         self.ring
-            .ordered(tenant, machine, |n| self.alive(n))
+            .ordered(tenant, ring_key(machine), |n| self.alive(n))
             .into_iter()
             .filter_map(|name| self.info(name))
             .cloned()
-            .collect()
-    }
-
-    fn statuses(&self) -> Vec<(String, NodeHealth)> {
-        self.nodes
-            .iter()
-            .map(|n| (n.name.clone(), n.health))
             .collect()
     }
 }
@@ -443,21 +435,9 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the virtual-node count per member (minimum 1).
-    pub fn with_virtual_nodes(mut self, count: usize) -> Self {
-        self.virtual_nodes = count.max(1);
-        self
-    }
-
     /// Sets (or disables) the background health-probe period.
     pub fn with_probe_interval(mut self, interval: Option<Duration>) -> Self {
         self.probe_interval = interval;
-        self
-    }
-
-    /// Sets the per-backend connect budget.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout.max(Duration::from_millis(1));
         self
     }
 }
@@ -619,107 +599,12 @@ fn records_payload(resp: &[u8]) -> Option<(String, String)> {
     (arch.len() == 80 && is_hex(arch) && is_hex(csv)).then(|| (arch.to_owned(), csv.to_owned()))
 }
 
-/// Parses just enough of a client `sweep` line to partition it across
-/// the ring: the base, the concrete suite, the grid axes, and any
-/// `only=` filter — producing the same expansion-order variant list a
-/// node computes ([`sweep::expand_selected`]). `None` means the line
-/// cannot be planned here (malformed words, an `all` suite, a bad
-/// axis); the caller then forwards it verbatim so a backend produces
-/// its exact error bytes.
-fn sweep_expansion(words: &[&str]) -> Option<(MachineId, Vec<MachineId>)> {
-    let base: MachineId = words[1].parse().ok()?;
-    let suite: Suite = words[2].parse().ok()?;
-    let mut grid = SweepGrid::new();
-    let mut only: Option<Vec<MachineId>> = None;
-    let mut uops = None;
-    for arg in &words[3..] {
-        let (key, value) = arg.split_once('=')?;
-        match key {
-            // Read only so an over-cap budget is forwarded to one backend
-            // whole, which refuses it with its own error bytes.
-            "uops" => uops = Some(value.parse().ok()?),
-            // Forwarded verbatim; they do not change the variant set.
-            "seed" | "limit" | "component" => {}
-            "only" => {
-                let mut ids = Vec::new();
-                for name in value.split(',') {
-                    ids.push(name.parse().ok()?);
-                }
-                only = Some(ids);
-            }
-            _ => grid.parse_arg(arg).ok()?,
-        }
-    }
-    let mut spec = SweepSpec::new(base, grid, suite);
-    spec.only = only;
-    if let Some(uops) = uops {
-        spec.uops = uops;
-    }
-    let variants = sweep::expand_selected(&spec).ok()?;
-    Some((base, variants.into_iter().map(|v| v.id).collect()))
-}
-
-/// One `variant …` line parsed out of a backend's sweep response: the
-/// raw bytes for re-emission plus the fields the router needs to merge
-/// (Pareto recomputation, replication of fresh fits).
-struct SweptVariant {
-    name: String,
-    raw: String,
-    cpi: f64,
-    component: f64,
-    cached: bool,
-}
-
-/// Splits a backend's sweep response into its variant lines and the
-/// summary's simulated-work counters. `Err` carries the backend's own
-/// `err:` message — the whole slice failed with those exact words — or
-/// names a truncated or garbled reply, which fails the slice the same
-/// way rather than silently dropping variants.
-fn parse_sweep_response(resp: &[u8]) -> Result<(Vec<SweptVariant>, usize, usize), String> {
-    let garbled = |line: &str| format!("garbled sweep reply line `{line}`");
-    let text = std::str::from_utf8(resp).map_err(|_| "sweep reply is not UTF-8".to_owned())?;
-    if let Some(message) = text.lines().find_map(|line| line.strip_prefix("err: ")) {
-        return Err(message.to_owned());
-    }
-    let body = text
-        .strip_suffix("ok\n")
-        .filter(|body| body.is_empty() || body.ends_with('\n'))
-        .ok_or_else(|| "truncated sweep reply".to_owned())?;
-    let mut variants = Vec::new();
-    let mut summary = None;
-    for line in body.lines() {
-        let w: Vec<&str> = line.split(' ').collect();
-        match w[0] {
-            "variant" if w.len() == 12 => {
-                let (Ok(cpi), Ok(component)) = (w[3].parse::<f64>(), w[5].parse::<f64>()) else {
-                    return Err(garbled(line));
-                };
-                let cached = match w[11] {
-                    "hit" => true,
-                    "miss" => false,
-                    _ => return Err(garbled(line)),
-                };
-                variants.push(SweptVariant {
-                    name: w[1].to_owned(),
-                    raw: line.to_owned(),
-                    cpi,
-                    component,
-                    cached,
-                });
-            }
-            // Recomputed over the merged slices.
-            "pareto" => {}
-            "sweep:" if w.len() == 8 && summary.is_none() => {
-                let (Ok(configs), Ok(runs)) = (w[5].parse(), w[7].parse()) else {
-                    return Err(garbled(line));
-                };
-                summary = Some((configs, runs));
-            }
-            _ => return Err(garbled(line)),
-        }
-    }
-    let (configs, runs) = summary.ok_or_else(|| "truncated sweep reply".to_owned())?;
-    Ok((variants, configs, runs))
+/// The variants a node expands a `sweep` line to, read with the node's
+/// own parser; empty when the line does not parse.
+fn swept_variants(words: &[&str]) -> Vec<MachineId> {
+    let spec = proto::parse_sweep_spec(words, &FitOptions::default()).ok();
+    let variants = spec.and_then(|spec| sweep::expand_selected(&spec).ok());
+    variants.into_iter().flatten().map(|v| v.id).collect()
 }
 
 /// What a proxied command decided about the session.
@@ -749,9 +634,9 @@ struct ProxySession<'a> {
     /// write — resets on writes and on tenant changes.
     clean: HashSet<(String, String)>,
     /// `(node, machine)` pairs whose records this session already
-    /// shipped for a cross-owner join (`delta`, partitioned `sweep`) —
-    /// resets on writes and tenant changes, like `clean`. Purely an
-    /// economy: the receiving node is digest-idempotent.
+    /// shipped for a cross-owner `delta` join — resets on writes and
+    /// tenant changes, like `clean`. Purely an economy: the receiving
+    /// node is digest-idempotent.
     shipped: HashSet<(String, String)>,
 }
 
@@ -792,8 +677,8 @@ impl<'a> ProxySession<'a> {
         if map.alive(node) {
             let _ = map.set_health(node, NodeHealth::Down);
             drop(map);
-            // Visible in the router's process log, not to clients.
-            let _ = detail;
+            // For the operator, not the client: why the node left rotation.
+            eprintln!("router: node {node} marked down: {detail}");
         }
     }
 
@@ -1104,7 +989,21 @@ impl<'a> ProxySession<'a> {
                 }
                 Ok(ProxyOutcome::Continue)
             }
-            "sweep" if words.len() >= 3 => self.dispatch_sweep(&words, line, out),
+            // A sweep routes by its base, which owns every variant too:
+            // the line runs whole on one node, and the base plus each
+            // variant it expands to replicate like a `fit`.
+            "sweep" if words.len() >= 3 => {
+                let (owner, resp) = self.forward_routed(words[1], line)?;
+                out.write_all(&resp)?;
+                self.focus = Some(owner.name.clone());
+                if resp.ends_with(b"ok\n") {
+                    self.replicate(words[1], words[2]);
+                    for id in swept_variants(&words) {
+                        self.replicate(id.name(), words[2]);
+                    }
+                }
+                Ok(ProxyOutcome::Continue)
+            }
             "quit" => {
                 let resp = match self.forward_primary(line) {
                     Ok((_, resp)) => resp,
@@ -1158,147 +1057,6 @@ impl<'a> ProxySession<'a> {
                 Ok(ProxyOutcome::Continue)
             }
         }
-    }
-
-    /// `sweep <base> <suite> …` fans a design-space grid across the
-    /// ring. Each variant hashes to its own owner, so the router
-    /// expands the grid exactly like a node would, partitions the
-    /// expansion-order variant list by live owner, ships the base
-    /// machine's records to every involved node (each node fits the
-    /// base itself for the delta columns), and forwards each node its
-    /// slice as `sweep … only=<subset>` — the node-side serving path
-    /// is unchanged. Variant lines come back merged in expansion
-    /// order, the Pareto front is recomputed over the merged results
-    /// with the same minimization a node runs, and fresh fits (cache
-    /// misses) replicate like any other model-bearing write. A node
-    /// dying mid-sweep costs only its slice: survivors' lines still
-    /// stream, followed by a typed partial error naming what was lost.
-    fn dispatch_sweep(
-        &mut self,
-        words: &[&str],
-        line: &str,
-        out: &mut impl Write,
-    ) -> Result<ProxyOutcome, ClusterError> {
-        let plan = sweep_expansion(words);
-        let Some((base, variants)) = plan.filter(|(_, v)| !v.is_empty()) else {
-            // Unplannable (malformed axis, `all` suite, empty `only=`):
-            // one backend produces its exact error bytes.
-            let (owner, resp) = self.forward_routed(words[1], line)?;
-            out.write_all(&resp)?;
-            self.focus = Some(owner.name.clone());
-            return Ok(ProxyOutcome::Continue);
-        };
-        // Partition by live owner, preserving expansion order within
-        // and across groups.
-        let mut groups: Vec<(NodeInfo, Vec<MachineId>)> = Vec::new();
-        for id in &variants {
-            let owner = self.route_machine(id.name())?;
-            match groups.iter_mut().find(|(node, _)| node.name == owner.name) {
-                Some((_, ids)) => ids.push(*id),
-                None => groups.push((owner, vec![*id])),
-            }
-        }
-        self.focus = groups.first().map(|(node, _)| node.name.clone());
-        let mut results: Vec<Option<SweptVariant>> = variants.iter().map(|_| None).collect();
-        let (mut configs, mut runs) = (0, 0);
-        let mut lost: Vec<String> = Vec::new();
-        let mut lost_detail = String::new();
-        for (node, ids) in groups {
-            // The original line minus any client `only=`, plus this
-            // slice's own selection.
-            let mut cmd = format!("sweep {} {}", words[1], words[2]);
-            for arg in &words[3..] {
-                if !arg.starts_with("only=") {
-                    cmd.push(' ');
-                    cmd.push_str(arg);
-                }
-            }
-            let names: Vec<&str> = ids.iter().map(|id| id.name()).collect();
-            cmd.push_str(" only=");
-            cmd.push_str(&names.join(","));
-            let resp = match self.sweep_slice(&node, base, &cmd) {
-                Ok(resp) => Ok(resp),
-                Err(ClusterError::NodeDown { node: name, detail }) => {
-                    // The slice never reached the client; mark the
-                    // owner down, let the ring reroute its variants,
-                    // and retry the buffered slice on the successor.
-                    self.mark_down(&name, &detail);
-                    self.route_machine(ids[0].name())
-                        .and_then(|successor| self.sweep_slice(&successor, base, &cmd))
-                }
-                Err(e) => Err(e),
-            };
-            let parsed = match &resp {
-                Ok(bytes) => parse_sweep_response(bytes),
-                Err(e) => Err(e.to_string()),
-            };
-            match parsed {
-                Ok((swept, slice_configs, slice_runs)) => {
-                    configs += slice_configs;
-                    runs += slice_runs;
-                    for variant in swept {
-                        if let Some(i) = variants.iter().position(|id| id.name() == variant.name) {
-                            results[i] = Some(variant);
-                        }
-                    }
-                }
-                Err(detail) => {
-                    lost.extend(names.iter().map(|n| (*n).to_owned()));
-                    lost_detail = detail;
-                }
-            }
-        }
-        // Merged output, byte-shaped exactly like a node's: variant
-        // lines in expansion order, the Pareto line, the summary.
-        let mut served: Vec<(usize, f64, f64)> = Vec::new();
-        for (i, slot) in results.iter().enumerate() {
-            if let Some(v) = slot {
-                writeln!(out, "{}", v.raw)?;
-                served.push((i, v.cpi, v.component));
-            }
-        }
-        let fresh: Vec<String> = results
-            .iter()
-            .flatten()
-            .filter(|v| !v.cached)
-            .map(|v| v.name.clone())
-            .collect();
-        for name in fresh {
-            self.replicate(&name, words[2]);
-        }
-        let points: Vec<(f64, f64)> = served.iter().map(|&(_, c, v)| (c, v)).collect();
-        let front: Vec<&str> = sweep::pareto_front(&points)
-            .into_iter()
-            .map(|k| variants[served[k].0].name())
-            .collect();
-        proto::write_sweep_tail(out, &front, served.len(), configs, runs)?;
-        if lost.is_empty() {
-            writeln!(out, "ok")?;
-            Ok(ProxyOutcome::Continue)
-        } else {
-            Err(ClusterError::SweepPartial {
-                lost,
-                detail: lost_detail,
-            })
-        }
-    }
-
-    /// Forwards one sweep slice to `node`, first making sure the node
-    /// holds the base machine's records (skipped when the node owns
-    /// them already, or when the base has nothing ingested — every
-    /// node then simulates identical records deterministically).
-    fn sweep_slice(
-        &mut self,
-        node: &NodeInfo,
-        base: MachineId,
-        cmd: &str,
-    ) -> Result<Vec<u8>, ClusterError> {
-        if let Ok(owner) = self.route_machine(base.name()) {
-            if owner.name != node.name {
-                self.ship_records(base.name(), node)?;
-            }
-        }
-        self.forward_to(node, cmd)
     }
 
     /// `ingest <path>` writes records for every machine named in the
@@ -1409,11 +1167,6 @@ impl ClusterRouter {
     pub fn shutdown(self) {
         self.stop();
         self.wait();
-    }
-
-    /// Every member with its current health.
-    pub fn node_health(&self) -> Vec<(String, NodeHealth)> {
-        lock_map(&self.shared.map).statuses()
     }
 
     /// Takes a node out of the routing rotation without touching it —
@@ -1931,48 +1684,50 @@ mod tests {
         assert_eq!(snapshot_hex(b"err: no snapshot\n"), None);
     }
 
+    /// Variants route with their base: a sweep's base, its variants and
+    /// any later `stack <variant>` share one owner, including after the
+    /// owner fails. Non-variant words keep their own ring points.
+    #[test]
+    fn cluster_map_routes_variants_with_their_base() {
+        let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
+        let backends: Vec<(String, SocketAddr)> =
+            (0..3).map(|i| (format!("node-{i}"), addr)).collect();
+        let mut map = ClusterMap::new(&backends, 64);
+        let variants = [
+            "core2+rob64",
+            "core2+mshr8",
+            "core2+rob96+mshr16",
+            "core2+dw2+pf1",
+        ];
+        let same_owner = |map: &ClusterMap| {
+            let base = map.route("local", "core2").unwrap().name;
+            variants
+                .iter()
+                .all(|v| map.route("local", v).unwrap().name == base)
+        };
+        assert!(same_owner(&map));
+        let owner = map.route("local", "core2").unwrap().name;
+        map.set_health(&owner, NodeHealth::Down).unwrap();
+        assert!(same_owner(&map), "failover moves the family together");
+        let chain = |m: &str| -> Vec<String> {
+            map.ordered_alive("local", m)
+                .into_iter()
+                .map(|n| n.name)
+                .collect()
+        };
+        assert_eq!(chain("core2+rob64"), chain("core2"));
+        // Words that are not machine ids route by their raw text.
+        assert_eq!(ring_key("core2"), "core2");
+        assert_eq!(ring_key("core2+bogus1"), "core2+bogus1");
+        assert_eq!(ring_key(""), "");
+        assert_eq!(ring_key("corei7+pf2"), "corei7");
+    }
+
     // -- The router's reply parsers against the node's own renderers --
 
-    use super::sweep::{StackComponent, SweepVariantResult};
-    use crate::delta::{DeltaStacks, OverallDelta};
     use crate::params::MicroarchParams;
-    use pmu::RunRecord;
+    use pmu::{RunRecord, Suite};
     use proptest::prelude::*;
-
-    /// One `variant` result per `(cpi, component, delta, cached)` draw,
-    /// named `core2+rob<64+i>`.
-    fn variant_results(draws: &[(f64, f64, f64, u8)]) -> Vec<SweepVariantResult> {
-        draws
-            .iter()
-            .enumerate()
-            .map(|(i, &(cpi, component, delta, cached))| SweepVariantResult {
-                id: MachineId::variant(&format!("core2+rob{}", 64 + i)).expect("variant name"),
-                cpi,
-                component,
-                delta: DeltaStacks {
-                    overall: OverallDelta {
-                        width: delta,
-                        ..OverallDelta::default()
-                    },
-                    ..DeltaStacks::default()
-                },
-                cached: cached % 2 == 1,
-                benchmarks: 12 + i,
-            })
-            .collect()
-    }
-
-    /// A node's full `sweep` reply for `results`, `ok` included.
-    fn sweep_reply(results: &[SweepVariantResult], configs: usize, runs: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        for v in results {
-            proto::write_sweep_variant(&mut out, v, StackComponent::LlcD).unwrap();
-        }
-        let front: Vec<&str> = results.iter().take(1).map(|v| v.id.name()).collect();
-        proto::write_sweep_tail(&mut out, &front, results.len(), configs, runs).unwrap();
-        out.extend_from_slice(b"ok\n");
-        out
-    }
 
     /// A node's full `pullrecs` reply, `ok` included.
     fn records_reply(arch: &MicroarchParams, records: &[RunRecord]) -> Vec<u8> {
@@ -2006,36 +1761,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Node sweep output parses back to what was rendered; every
-        /// strict prefix is refused; one garbled byte never panics.
-        #[test]
-        fn sweep_replies_round_trip_and_truncations_fail(
-            draws in prop::collection::vec((0.1f64..40.0, 0.0f64..5.0, -9.0f64..9.0, 0u8..2), 0..6),
-            configs in 0usize..100,
-            runs in 0usize..5_000,
-            at in 0usize..4_096,
-            byte in 0u8..255,
-        ) {
-            let results = variant_results(&draws);
-            let reply = sweep_reply(&results, configs, runs);
-            let (parsed, c, r) = parse_sweep_response(&reply).expect("well-formed reply");
-            prop_assert_eq!((c, r), (configs, runs));
-            prop_assert_eq!(parsed.len(), results.len());
-            let text = String::from_utf8(reply.clone()).unwrap();
-            for ((p, v), line) in parsed.iter().zip(&results).zip(text.lines()) {
-                prop_assert_eq!(p.name.as_str(), v.id.name());
-                prop_assert_eq!(p.raw.as_str(), line);
-                prop_assert_eq!(p.cpi, format!("{:.4}", v.cpi).parse::<f64>().unwrap());
-                prop_assert_eq!(p.component, format!("{:.4}", v.component).parse::<f64>().unwrap());
-                prop_assert_eq!(p.cached, v.cached);
-            }
-            for cut in 0..reply.len() {
-                prop_assert!(parse_sweep_response(&reply[..cut]).is_err(), "prefix {cut} parsed");
-            }
-            let _ = parse_sweep_response(&garble(&reply, at, byte));
-            prop_assert!(parse_sweep_response(&garble(&reply, at, 0xff)).is_err());
-        }
 
         /// Node `pullrecs` output parses back to the exact arch bits and
         /// records; truncations and non-hex bytes are refused.
@@ -2089,18 +1814,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_errors_and_stray_lines_fail_the_sweep_slice() {
-        let results = variant_results(&[(1.0, 0.5, 0.1, 0)]);
-        let mut reply = sweep_reply(&results, 1, 12);
-        assert!(parse_sweep_response(&reply).is_ok());
-        assert_eq!(
-            parse_sweep_response(b"variant core2 cpi 1.0000 llc_d 0.1000 delta +0.0000 benchmarks 1 cache hit\nerr: boom\n")
-                .err(),
-            Some("boom".to_owned())
-        );
-        reply.splice(0..0, b"stray\n".iter().copied());
-        assert!(parse_sweep_response(&reply).is_err());
-        assert!(parse_sweep_response(b"ok\n").is_err(), "no summary line");
+    fn snapshot_and_records_parsers_refuse_malformed_payloads() {
         let two_lines = b"snapshot 00\nsnapshot 11\nok\n";
         assert_eq!(snapshot_hex(two_lines), None);
         assert_eq!(snapshot_hex(b"snapshot 0\nok\n"), None, "odd-length hex");

@@ -581,8 +581,12 @@ fn parse_suite(word: &str) -> Result<Option<Suite>, CommandError> {
 /// `sweep <base> <suite> [rob|mshr|dw|pf=v,v...] [uops=N] [seed=N]
 /// [limit=N] [component=NAME] [only=v1,v2]`. The grid may be empty (the
 /// sweep then serves the base alone); the session's fit options become
-/// the spec's.
-fn parse_sweep_spec(words: &[&str], options: &FitOptions) -> Result<SweepSpec, CommandError> {
+/// the spec's. The cluster router reads a forwarded sweep's variant
+/// names with this same parser.
+pub(crate) fn parse_sweep_spec(
+    words: &[&str],
+    options: &FitOptions,
+) -> Result<SweepSpec, CommandError> {
     const USAGE: &str = "usage: sweep <base> <suite> [rob|mshr|dw|pf=v,v...] \
                          [uops=N] [seed=N] [limit=N] [component=NAME] [only=v1,v2]";
     if words.len() < 3 {
@@ -861,8 +865,8 @@ fn run_command(
             client.import_snapshot(&bytes)?;
             writeln!(output, "installed")?;
         }
-        // The record-shipping pair: when a two-machine request (delta, a
-        // partitioned sweep) spans ring owners, the router pulls the
+        // The record-shipping pair: when a two-machine `delta` spans
+        // ring owners, the router pulls the
         // missing machine's *records* from its owner and pushes them to
         // the serving node, so the single-node fitting path — and its
         // byte-exact results — apply unchanged. The arch constants ride
@@ -915,11 +919,8 @@ fn run_command(
     Ok(())
 }
 
-// The node-side renderers of the replies the cluster router reads back
-// (its parsers in `cluster` are property-tested against these).
-
 /// Writes one streamed `variant …` line of a `sweep` reply.
-pub(crate) fn write_sweep_variant(
+fn write_sweep_variant(
     output: &mut impl Write,
     v: &SweepVariantResult,
     component: StackComponent,
@@ -937,9 +938,8 @@ pub(crate) fn write_sweep_variant(
     )
 }
 
-/// Writes the `pareto …` and `sweep: …` lines closing a `sweep` reply
-/// (a node's, or the router's over merged slices).
-pub(crate) fn write_sweep_tail(
+/// Writes the `pareto …` and `sweep: …` lines closing a `sweep` reply.
+fn write_sweep_tail(
     output: &mut impl Write,
     pareto: &[&str],
     variants: usize,
@@ -952,6 +952,9 @@ pub(crate) fn write_sweep_tail(
         "sweep: variants {variants} simulated configs {configs} runs {runs}"
     )
 }
+
+// The node-side renderers of the replies the cluster router reads back
+// (its parsers in `cluster` are property-tested against these).
 
 /// Writes a `pullsnap` reply's payload line.
 pub(crate) fn write_snapshot(output: &mut impl Write, bytes: &[u8]) -> std::io::Result<()> {

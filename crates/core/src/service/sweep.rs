@@ -389,7 +389,8 @@ pub fn expand(base: MachineId, grid: &SweepGrid) -> Result<Vec<SweepVariant>, Sw
 /// Expands `spec`'s grid and applies its `only` restriction, keeping
 /// grid-expansion order. This is *the* variant list every serving layer
 /// agrees on — the client's warm fan-out, the worker's combining task and
-/// the cluster router's partitions all call it with the same spec.
+/// the cluster router's replication of a forwarded sweep all call it
+/// with the same spec.
 ///
 /// # Errors
 ///
@@ -451,10 +452,8 @@ pub struct SweepSpec {
     /// simulates exactly the base's benchmark set so deltas pair up.
     pub limit: Option<usize>,
     /// Restrict the sweep to this subset of the expanded variants
-    /// (`None` = the whole grid). The cluster router partitions a grid by
-    /// ring owner and forwards each owner its own slice this way; order
-    /// and deltas are unchanged — every selected variant still compares
-    /// against the base.
+    /// (`None` = the whole grid). Order and deltas are unchanged — every
+    /// selected variant still compares against the base.
     pub only: Option<Vec<MachineId>>,
     /// The component-of-interest: the second Pareto objective next to
     /// CPI.

@@ -295,9 +295,10 @@
 //! ```
 //!
 //! The `sweep` protocol verb exposes the same request on every front —
-//! stdio, TCP, and the cluster router, which partitions the grid by
-//! ring owner, fans the slices out in parallel, and reroutes a dead
-//! node's slice to its ring successor mid-sweep. See the `cpistack
+//! stdio, TCP, and the cluster router. The router places a variant with
+//! its base machine, so it forwards a sweep whole to the base's ring
+//! owner and relays the reply byte for byte; a dead owner costs a
+//! whole-line retry on its ring successor. See the `cpistack
 //! sweep` subcommand and `examples/design_space.rs` for the CLI and
 //! programmatic drivers.
 //!

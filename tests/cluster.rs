@@ -468,25 +468,50 @@ fn two_owner_delta_through_the_router_matches_a_single_node() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Tentpole: a design-space sweep through the router fans each variant
-/// to its ring owner and merges the slices. Every `variant` line and
-/// the Pareto front must be byte-identical to the same sweep against a
-/// single node; only the summary's simulated-work tally may differ
-/// (each involved node fits the shared base once). A warm re-sweep
-/// through the router then serves entirely from the nodes' caches:
-/// zero simulated configs, zero runs, every variant a cache hit.
+/// Direct `stats` on one node (bypassing the router): its `fits` and
+/// `requests` counters for the open tenant.
+fn node_counters(addr: std::net::SocketAddr) -> (u64, u64) {
+    let text = String::from_utf8(tcp_session(addr, "stats\nquit\n")).expect("utf-8");
+    let counter = |name: &str| -> u64 {
+        let words: Vec<&str> = text.split_whitespace().collect();
+        let at = words.iter().position(|w| *w == name).expect("counter");
+        words[at + 1].parse().expect("number")
+    };
+    (counter("fits"), counter("requests"))
+}
+
+/// A design-space sweep through the router runs whole on the base's
+/// owner, which owns every variant too. The transcript — variant
+/// lines, Pareto front and the `sweep:` summary — is byte-identical to
+/// the same sweep against a single node. A variant's stacks served
+/// through the router afterwards match the single node's and refit
+/// nothing. A warm re-sweep then serves entirely from the owner's
+/// cache: zero simulated configs, zero runs, every variant a cache hit,
+/// and no node's `fits` moves.
 #[test]
-fn partitioned_sweep_through_the_router_matches_a_single_node_and_resweeps_warm() {
+fn sweep_through_the_router_matches_a_single_node_and_resweeps_warm() {
     let dir = scratch("router_sweep");
-    let script = "sweep core2 cpu2000 rob=64,96 mshr=8,16 uops=2000 seed=7 limit=12\nquit\n";
-    let solo = solo_transcript(script);
+    let sweep = "sweep core2 cpu2000 rob=64,96 mshr=8,16 uops=2000 seed=7 limit=12\n";
+    let script = format!("{sweep}quit\n");
+    let stack = "stack core2+rob64 cpu2000\nquit\n";
+    // One solo session answers both: banner, sweep, stack, quit.
+    let solo = solo_transcript(&format!("{sweep}{stack}"));
     let solo_text = String::from_utf8_lossy(&solo).into_owned();
+    assert!(!solo_text.contains("err:"), "{solo_text}");
+    let mut replies = solo_text.split_inclusive("\nok\n");
+    let (solo_sweep, solo_stack) = (
+        replies.next().expect("sweep reply"),
+        replies.next().expect("stack reply"),
+    );
+    let (banner, sweep_reply) = solo_sweep.split_once('\n').expect("banner");
+    let solo_sweep = format!("{solo_sweep}ok\n");
+    let solo_stack = format!("{banner}\n{solo_stack}ok\n");
     assert_eq!(
-        solo_text.matches("\nvariant ").count(),
+        sweep_reply.matches("variant ").count(),
         4,
         "grid must expand to 4 variants: {solo_text}"
     );
-    assert!(!solo_text.contains("err:"), "{solo_text}");
+    assert!(solo_stack.contains("\nstack "), "{solo_text}");
 
     let harness = ClusterHarness::builder(dir.join("state"))
         .with_nodes(3)
@@ -495,35 +520,40 @@ fn partitioned_sweep_through_the_router_matches_a_single_node_and_resweeps_warm(
         .expect("cluster boots");
     let router = harness.router_addr();
 
-    // The scenario needs a genuinely partitioned grid: at least two
-    // distinct owners across the expanded variant names.
-    let owners: std::collections::HashSet<usize> =
-        ["core2", "core2+rob64", "core2+rob64+mshr8", "core2+mshr8"]
-            .iter()
-            .map(|name| harness.owner_index("local", name).expect("owner"))
-            .collect();
-    assert!(
-        owners.len() >= 2,
-        "ring placement must spread the variants for this scenario"
-    );
+    // Every variant lives with its base.
+    let base_owner = harness.owner_index("local", "core2").expect("owner");
+    for name in ["core2+rob64", "core2+rob64+mshr8", "core2+mshr8"] {
+        assert_eq!(
+            harness.owner_index("local", name),
+            Some(base_owner),
+            "variant `{name}` must route with its base"
+        );
+    }
 
-    let via = tcp_session(router, script);
-    let via_text = String::from_utf8_lossy(&via);
-    // Byte-identical modulo the summary tally.
-    let strip_summary = |text: &str| -> String {
-        text.lines()
-            .filter(|l| !l.starts_with("sweep:"))
-            .map(|l| format!("{l}\n"))
+    let via = tcp_session(router, &script);
+    assert_eq!(
+        String::from_utf8_lossy(&via),
+        solo_sweep,
+        "a router sweep diverged from the single-node run"
+    );
+    let fits = || -> Vec<u64> {
+        (0..harness.node_count())
+            .map(|i| node_counters(harness.node_addr(i)).0)
             .collect()
     };
-    assert_eq!(
-        strip_summary(&via_text),
-        strip_summary(&solo_text),
-        "partitioned sweep diverged from the single-node run"
-    );
+    let cold_fits = fits();
 
-    // Warm re-sweep: every slice serves from cache, nothing simulates.
-    let warm = tcp_session(router, script);
+    // The swept variant's model is served where the sweep fitted it.
+    let via_stack = tcp_session(router, stack);
+    assert_eq!(
+        String::from_utf8_lossy(&via_stack),
+        solo_stack,
+        "a swept variant's stacks diverged through the router"
+    );
+    assert_eq!(fits(), cold_fits, "serving a swept variant must not refit");
+
+    // Warm re-sweep: the owner serves from cache, nothing simulates.
+    let warm = tcp_session(router, &script);
     let warm_text = String::from_utf8_lossy(&warm);
     assert!(
         warm_text.contains("simulated configs 0 runs 0"),
@@ -533,18 +563,25 @@ fn partitioned_sweep_through_the_router_matches_a_single_node_and_resweeps_warm(
         !warm_text.contains("cache miss"),
         "a re-sweep must be all cache hits: {warm_text}"
     );
-    assert_eq!(strip_summary(&warm_text), strip_summary(&solo_text));
+    let variants = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.starts_with("variant ") || l.starts_with("pareto "))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(variants(&warm_text), variants(&solo_sweep));
+    assert_eq!(fits(), cold_fits, "a warm re-sweep must not refit");
 
     harness.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A node dying between sweeps costs nothing but the re-fit: the ring
-/// reroutes the dead owner's slice to a survivor, which re-simulates
-/// deterministically — the re-sweep still serves the full grid with the
-/// same variant values and Pareto front, no in-band errors.
+/// A dead base owner costs a whole-line retry: the ring reroutes the
+/// sweep, base and variants together, to a survivor, which serves the
+/// full grid with the same variant values and Pareto front and no
+/// in-band errors.
 #[test]
-fn sweep_reroutes_slices_to_survivors_after_a_node_death() {
+fn sweep_fails_over_whole_to_a_survivor_after_the_base_owner_dies() {
     let dir = scratch("sweep_failover");
     let script = "sweep core2 cpu2000 rob=48,96 uops=2000 seed=11 limit=12\nquit\n";
     let harness_dir = dir.join("state");
@@ -554,21 +591,20 @@ fn sweep_reroutes_slices_to_survivors_after_a_node_death() {
         .start()
         .expect("cluster boots");
     let router = harness.router_addr();
+    let ranked = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter(|l| l.starts_with("variant ") || l.starts_with("pareto "))
+            .map(|l| l.split(" cache ").next().unwrap_or(l).to_owned())
+            .collect()
+    };
 
     let cold = tcp_session(router, script);
     let cold_text = String::from_utf8_lossy(&cold).into_owned();
     assert!(!cold_text.contains("err:"), "{cold_text}");
     assert_eq!(cold_text.matches("\nvariant ").count(), 2, "{cold_text}");
-    let pareto = cold_text
-        .lines()
-        .find(|l| l.starts_with("pareto "))
-        .expect("pareto line")
-        .to_owned();
 
-    // Kill the variant's owner; the base's owner may be the same node.
-    let owner = harness
-        .owner_index("local", "core2+rob48")
-        .expect("variant owner");
+    let owner = harness.owner_index("local", "core2").expect("base owner");
+    assert_eq!(harness.owner_index("local", "core2+rob48"), Some(owner));
     harness.kill(owner);
 
     let after = tcp_session(router, script);
@@ -577,15 +613,12 @@ fn sweep_reroutes_slices_to_survivors_after_a_node_death() {
         !after_text.contains("err:"),
         "a dead owner must reroute, not fail the sweep: {after_text}"
     );
-    assert_eq!(after_text.matches("\nvariant ").count(), 2, "{after_text}");
     assert_eq!(
-        after_text
-            .lines()
-            .find(|l| l.starts_with("pareto "))
-            .expect("pareto line"),
-        pareto,
-        "rerouted slices must reproduce the same front"
+        ranked(&after_text),
+        ranked(&cold_text),
+        "the survivor must reproduce the same variants and front"
     );
+    assert_ne!(harness.owner_index("local", "core2"), Some(owner));
 
     harness.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -593,13 +626,14 @@ fn sweep_reroutes_slices_to_survivors_after_a_node_death() {
 
 /// Draining removes a node from rotation without touching it: its keys
 /// reroute, new work lands on survivors, and the drained node itself
-/// keeps serving direct connections.
+/// keeps serving direct connections. Reviving it brings its keys back.
+/// Replication is off, so a routed command reaches exactly one node.
 #[test]
 fn draining_reroutes_keys_while_the_node_keeps_running() {
     let dir = scratch("drain");
     let harness = ClusterHarness::builder(dir.join("state"))
         .with_nodes(2)
-        .with_router(test_router("cluster"))
+        .with_router(test_router("cluster").with_replicas(0))
         .start()
         .expect("cluster boots");
 
@@ -625,6 +659,24 @@ fn draining_reroutes_keys_while_the_node_keeps_running() {
     // stopped) — draining is routing state, not node state.
     let direct = tcp_session(harness.node_addr(owner), "stats\nquit\n");
     assert!(String::from_utf8_lossy(&direct).contains("stats:"));
+
+    // The prober leaves draining nodes alone; `revive` brings the node
+    // back, and routed requests land on it again.
+    let name = harness.node_name(owner).to_owned();
+    harness.router().revive(&name).expect("revive by name");
+    assert_eq!(harness.owner_index("local", "core2"), Some(owner));
+    let (_, before) = node_counters(harness.node_addr(owner));
+    let via = tcp_session(
+        harness.router_addr(),
+        "machine core2 4 14 19 169 30\nquit\n",
+    );
+    assert!(String::from_utf8_lossy(&via).contains("registered core2"));
+    let (_, after) = node_counters(harness.node_addr(owner));
+    assert_eq!(
+        after,
+        before + 2,
+        "the routed `machine` must land on the revived node"
+    );
 
     // Unknown member names are a typed error.
     assert!(matches!(
