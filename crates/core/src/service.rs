@@ -26,7 +26,12 @@
 //! hit, never a duplicate regression) while different keys, even two
 //! suites of the same machine, fan out in parallel. Responses stream back
 //! over a per-request channel as [`Response`] items — a large stack set
-//! arrives one benchmark at a time, never buffered whole.
+//! arrives one benchmark at a time, never buffered whole. Warm reads skip
+//! the pool: `stats`, and a model read whose model is already cached at
+//! the machine's current generation, are answered on the submitting
+//! thread with the same accounting and replies (see
+//! [`CpiClient::submit`]), so a TCP node's event loop serves them without
+//! a thread hand-off.
 //!
 //! Fitting is deterministic, so service output is byte-identical to a
 //! sequential [`Workbench`](crate::workbench::Workbench) run — and in
@@ -638,22 +643,41 @@ pub enum Response {
     Error(ServiceError),
 }
 
-/// The per-request response channel: iterate until it closes. The stream
-/// ends when every worker holding the request's reply handle has finished.
+/// The per-request response stream: iterate until it ends. A request
+/// routed to the worker pool ends when every worker holding its reply
+/// handle has finished; one answered on the submitting thread (see
+/// [`CpiClient::submit`]) arrives complete.
 #[derive(Debug)]
 pub struct ResponseStream {
-    rx: mpsc::Receiver<Response>,
+    source: ReplySource,
+}
+
+#[derive(Debug)]
+enum ReplySource {
+    /// Streamed back by shard workers as they produce it.
+    Queued(mpsc::Receiver<Response>),
+    /// Answered on the submitting thread before `submit` returned.
+    Ready(std::vec::IntoIter<Response>),
 }
 
 impl Iterator for ResponseStream {
     type Item = Response;
 
     fn next(&mut self) -> Option<Response> {
-        self.rx.recv().ok()
+        match &mut self.source {
+            ReplySource::Queued(rx) => rx.recv().ok(),
+            ReplySource::Ready(replies) => replies.next(),
+        }
     }
 }
 
 impl ResponseStream {
+    fn ready(replies: Vec<Response>) -> Self {
+        Self {
+            source: ReplySource::Ready(replies.into_iter()),
+        }
+    }
+
     /// Drains the stream, returning every response — or the first error.
     ///
     /// # Errors
@@ -1384,10 +1408,7 @@ enum Task {
         key: ModelKey,
         force_full: bool,
     },
-    Fit(ModelKey),
-    Stacks(ModelKey),
-    Group(ModelKey),
-    Predictions(ModelKey),
+    Read(ModelRead, ModelKey),
     Delta {
         old: MachineId,
         new: MachineId,
@@ -1402,11 +1423,77 @@ enum Task {
     },
 }
 
+/// The four model reads ([`Request::Fit`], [`Request::Stacks`],
+/// [`Request::Group`], [`Request::Predictions`]): each serves one key's
+/// model and differs from the others only in the replies it streams.
+#[derive(Debug, Clone, Copy)]
+enum ModelRead {
+    Fit,
+    Stacks,
+    Group,
+    Predictions,
+}
+
+impl ModelRead {
+    fn of(request: &Request) -> Option<(ModelRead, &ModelKey)> {
+        match request {
+            Request::Fit(key) => Some((ModelRead::Fit, key)),
+            Request::Stacks(key) => Some((ModelRead::Stacks, key)),
+            Request::Group(key) => Some((ModelRead::Group, key)),
+            Request::Predictions(key) => Some((ModelRead::Predictions, key)),
+            _ => None,
+        }
+    }
+
+    /// Streams this read's replies for a served model, in the one order
+    /// both the shard worker and the inline cache-hit path use. `trained`
+    /// is the materialized training set when the serve already built one
+    /// (a miss), so `Group` does not copy the records twice.
+    fn reply(
+        self,
+        report: ModelReport,
+        snapshot: &RecordsSnapshot,
+        trained: Option<Vec<RunRecord>>,
+        mut send: impl FnMut(Response),
+    ) {
+        let model = Arc::clone(&report.model);
+        match self {
+            ModelRead::Fit => send(Response::Model(report)),
+            ModelRead::Stacks => {
+                send(Response::Model(report));
+                for record in snapshot.iter() {
+                    send(Response::Stack {
+                        benchmark: record.benchmark().to_owned(),
+                        stack: model.cpi_stack(record),
+                    });
+                }
+            }
+            ModelRead::Group => send(Response::Group(Box::new(FittedGroup {
+                machine: report.machine,
+                suite: report.suite,
+                arch: *model.arch(),
+                model: (*model).clone(),
+                records: trained.unwrap_or_else(|| snapshot.to_vec()),
+            }))),
+            ModelRead::Predictions => {
+                send(Response::Model(report));
+                for record in snapshot.iter() {
+                    send(Response::Prediction {
+                        benchmark: record.benchmark().to_owned(),
+                        measured: record.cpi(),
+                        predicted: model.predict_record(record),
+                    });
+                }
+            }
+        }
+    }
+}
+
 struct Router {
     shards: Vec<mpsc::Sender<WorkerMsg>>,
     inner: Arc<Mutex<Inner>>,
-    /// Set once by shutdown so requests answered inline (stats) honour
-    /// the `Stopped` contract like queue-routed ones do.
+    /// Set once by shutdown so requests answered inline (stats, cache
+    /// hits) honour the `Stopped` contract like queue-routed ones do.
     stopped: std::sync::atomic::AtomicBool,
 }
 
@@ -1591,44 +1678,74 @@ impl CpiClient {
         }
     }
 
-    /// Submits one request; responses stream back on the returned channel.
+    /// Submits one request; responses stream back on the returned
+    /// stream.
+    ///
+    /// Two kinds of request are answered on the calling thread, before
+    /// `submit` returns, so they never queue behind a regression or a
+    /// sweep on some worker:
+    ///
+    /// * [`Request::Stats`], always;
+    /// * a model read — [`Request::Fit`], [`Request::Stacks`],
+    ///   [`Request::Group`] or [`Request::Predictions`] — whose model this
+    ///   tenant has cached at the machine's current generation. It counts
+    ///   one request and one cache hit, and refreshes the entry's LRU
+    ///   recency, exactly as the worker would, and streams the same
+    ///   replies in the same order.
+    ///
+    /// Everything else goes to a shard worker: a read that misses the
+    /// cache, has no records or names an unregistered machine, and every
+    /// other request.
     ///
     /// Ordering: store mutations for one machine (register, ingest) are
-    /// FIFO on its shard, and model requests for one key are FIFO on the
-    /// key's shard — but an ingest and a fit may land on *different*
-    /// shards, so drain a mutation's stream before submitting a request
-    /// that depends on it (every convenience method on this client does).
+    /// FIFO on its shard, and model requests for one key that miss the
+    /// cache are FIFO on the key's shard. An ingest and a fit may land on
+    /// *different* shards, and a cache hit answered here passes anything
+    /// still queued, so drain a mutation's stream before submitting a
+    /// request that depends on it (every convenience method on this
+    /// client does). A hit sees every mutation whose stream was drained
+    /// before it was submitted: it reads the generation current under the
+    /// service lock.
     pub fn submit(&self, request: Request) -> ResponseStream {
-        let (tx, rx) = mpsc::channel();
-        let stream = ResponseStream { rx };
-        if matches!(request, Request::Stats) {
-            // Stats is a cheap monitoring read of the shared state —
-            // answering it here keeps it from queueing behind a
-            // multi-second regression on some worker.
-            if self
-                .router
-                .stopped
-                .load(std::sync::atomic::Ordering::SeqCst)
-            {
-                let _ = tx.send(Response::Error(ServiceError::Stopped));
-                return stream;
-            }
-            let mut guard = lock(&self.router.inner);
-            guard.tenant_mut(&self.tenant).requests += 1;
-            let stats = guard.stats_for(&self.tenant);
-            drop(guard);
-            let _ = tx.send(Response::Stats(stats));
-            return stream;
+        if let Some(replies) = self.answer_inline(&request) {
+            return ResponseStream::ready(replies);
         }
-        let tasks: Vec<(usize, Task)> = match self.route(request) {
-            Ok(tasks) => tasks,
-            Err(e) => {
-                let _ = tx.send(Response::Error(e));
-                return stream;
+        match self.route(request) {
+            Ok(tasks) => {
+                let (tx, rx) = mpsc::channel();
+                self.dispatch(tasks, &tx);
+                ResponseStream {
+                    source: ReplySource::Queued(rx),
+                }
             }
+            Err(e) => ResponseStream::ready(vec![Response::Error(e)]),
+        }
+    }
+
+    /// The replies to `request` when it can be answered on this thread
+    /// (see [`CpiClient::submit`]), or `None` to route it to a shard.
+    fn answer_inline(&self, request: &Request) -> Option<Vec<Response>> {
+        let read = ModelRead::of(request);
+        if read.is_none() && !matches!(request, Request::Stats) {
+            return None;
+        }
+        if self
+            .router
+            .stopped
+            .load(std::sync::atomic::Ordering::SeqCst)
+        {
+            return Some(vec![Response::Error(ServiceError::Stopped)]);
+        }
+        let mut guard = lock(&self.router.inner);
+        let Some((read, key)) = read else {
+            guard.tenant_mut(&self.tenant).requests += 1;
+            return Some(vec![Response::Stats(guard.stats_for(&self.tenant))]);
         };
-        self.dispatch(tasks, &tx);
-        stream
+        let (report, snapshot) = cached_read(&mut guard, &self.tenant, key)?;
+        drop(guard);
+        let mut replies = Vec::new();
+        read.reply(report, &snapshot, None, |response| replies.push(response));
+        Some(replies)
     }
 
     fn dispatch(&self, tasks: Vec<(usize, Task)>, tx: &mpsc::Sender<Response>) {
@@ -1655,10 +1772,11 @@ impl CpiClient {
     /// collision).
     pub fn submit_group_at(&self, shard: usize, key: ModelKey) -> ResponseStream {
         let (tx, rx) = mpsc::channel();
-        let stream = ResponseStream { rx };
         let shard = shard % self.router.shards.len();
-        self.dispatch(vec![(shard, Task::Group(key))], &tx);
-        stream
+        self.dispatch(vec![(shard, Task::Read(ModelRead::Group, key))], &tx);
+        ResponseStream {
+            source: ReplySource::Queued(rx),
+        }
     }
 
     /// Splits a request into per-shard tasks. CSV parsing happens here, on
@@ -1707,11 +1825,18 @@ impl CpiClient {
             Request::Refit { key, force_full } => {
                 vec![(r.shard_of_key(t, &key), Task::Refit { key, force_full })]
             }
-            Request::Fit(key) => vec![(r.shard_of_key(t, &key), Task::Fit(key))],
-            Request::Stacks(key) => vec![(r.shard_of_key(t, &key), Task::Stacks(key))],
-            Request::Group(key) => vec![(r.shard_of_key(t, &key), Task::Group(key))],
+            Request::Fit(key) => vec![(r.shard_of_key(t, &key), Task::Read(ModelRead::Fit, key))],
+            Request::Stacks(key) => {
+                vec![(r.shard_of_key(t, &key), Task::Read(ModelRead::Stacks, key))]
+            }
+            Request::Group(key) => {
+                vec![(r.shard_of_key(t, &key), Task::Read(ModelRead::Group, key))]
+            }
             Request::Predictions(key) => {
-                vec![(r.shard_of_key(t, &key), Task::Predictions(key))]
+                vec![(
+                    r.shard_of_key(t, &key),
+                    Task::Read(ModelRead::Predictions, key),
+                )]
             }
             Request::Delta {
                 old,
@@ -2000,32 +2125,27 @@ impl CpiClient {
     /// variant's fit produced; [`ServiceError::Stopped`] when the
     /// service is gone.
     pub fn sweep(&self, spec: SweepSpec) -> Result<SweepSummary, ServiceError> {
-        let (simulated, stream) = self.sweep_begin(spec)?;
-        let mut summary = None;
-        for response in stream {
+        for response in self.sweep_begin(spec)? {
             match response {
-                Response::SweepSummary(s) => summary = Some(*s),
+                Response::SweepSummary(s) => return Ok(*s),
                 Response::Error(e) => return Err(e),
                 _ => {}
             }
         }
-        let mut summary = summary.ok_or(ServiceError::Stopped)?;
-        // The combining task only counts what *it* simulated (nothing —
-        // the collect phase below ran first); fold the real collection
-        // cost back in.
-        summary.simulated_configs += simulated.0;
-        summary.simulated_runs += simulated.1;
-        Ok(summary)
+        Err(ServiceError::Stopped)
     }
 
     /// The streaming form of [`CpiClient::sweep`]: runs the collect
     /// phase, warms every variant key on its home shard, then submits
-    /// [`Request::Sweep`] and hands back the live stream — one
+    /// [`Request::Sweep`] and hands back its live stream — one
     /// [`Response::SweepVariant`] per variant in grid-expansion order,
-    /// then one [`Response::SweepSummary`]. Returns `(simulated configs,
-    /// simulated runs)` from the collect phase alongside the stream (the
-    /// streamed summary's own counters cover only the combining task,
-    /// which collects nothing here).
+    /// then one [`Response::SweepSummary`].
+    ///
+    /// The stream reports what the whole sweep cost, not only its
+    /// combining task (which always finds every model warm and simulates
+    /// nothing): a variant's `cached` is whether its warm-up found the
+    /// model without a regression, and the summary's simulated counts
+    /// include the collect phase.
     ///
     /// # Errors
     ///
@@ -2034,7 +2154,7 @@ impl CpiClient {
     pub fn sweep_begin(
         &self,
         spec: SweepSpec,
-    ) -> Result<((usize, usize), ResponseStream), ServiceError> {
+    ) -> Result<impl Iterator<Item = Response>, ServiceError> {
         let variants =
             sweep::expand_selected(&spec).map_err(|error| ServiceError::Sweep { error })?;
         let mut simulated = (0, 0);
@@ -2060,14 +2180,32 @@ impl CpiClient {
                 )))
             })
             .collect();
+        let mut fitted: Vec<MachineId> = Vec::new();
         for stream in warms {
             for response in stream {
-                if let Response::Error(e) = response {
-                    return Err(e);
+                match response {
+                    Response::Model(report) if !report.cached => fitted.push(report.machine),
+                    Response::Error(e) => return Err(e),
+                    _ => {}
                 }
             }
         }
-        Ok((simulated, self.submit(Request::Sweep(Box::new(spec)))))
+        let (configs, runs) = simulated;
+        let stream = self.submit(Request::Sweep(Box::new(spec)));
+        Ok(stream.map(move |mut response| {
+            match &mut response {
+                Response::SweepVariant(v) => v.cached &= !fitted.contains(&v.id),
+                Response::SweepSummary(s) => {
+                    for r in &mut s.results {
+                        r.cached &= !fitted.contains(&r.id);
+                    }
+                    s.simulated_configs += configs;
+                    s.simulated_runs += runs;
+                }
+                _ => {}
+            }
+            response
+        }))
     }
 
     /// Installs a replicated record store for one machine (see
@@ -2460,45 +2598,8 @@ fn handle_task(
             Ok((report, mode)) => send(Response::Refit { report, mode }),
             Err(e) => send(Response::Error(e)),
         },
-        Task::Fit(key) => match fit_key(inner, tenant, &key) {
-            Ok((report, _, _)) => send(Response::Model(report)),
-            Err(e) => send(Response::Error(e)),
-        },
-        Task::Stacks(key) => match fit_key(inner, tenant, &key) {
-            Ok((report, snapshot, _)) => {
-                let model = Arc::clone(&report.model);
-                send(Response::Model(report));
-                for record in snapshot.iter() {
-                    send(Response::Stack {
-                        benchmark: record.benchmark().to_owned(),
-                        stack: model.cpi_stack(record),
-                    });
-                }
-            }
-            Err(e) => send(Response::Error(e)),
-        },
-        Task::Group(key) => match fit_key(inner, tenant, &key) {
-            Ok((report, snapshot, trained)) => send(Response::Group(Box::new(FittedGroup {
-                machine: report.machine,
-                suite: report.suite,
-                arch: *report.model.arch(),
-                model: (*report.model).clone(),
-                records: trained.unwrap_or_else(|| snapshot.to_vec()),
-            }))),
-            Err(e) => send(Response::Error(e)),
-        },
-        Task::Predictions(key) => match fit_key(inner, tenant, &key) {
-            Ok((report, snapshot, _)) => {
-                let model = Arc::clone(&report.model);
-                send(Response::Model(report));
-                for record in snapshot.iter() {
-                    send(Response::Prediction {
-                        benchmark: record.benchmark().to_owned(),
-                        measured: record.cpi(),
-                        predicted: model.predict_record(record),
-                    });
-                }
-            }
+        Task::Read(read, key) => match fit_key(inner, tenant, &key) {
+            Ok((report, snapshot, trained)) => read.reply(report, &snapshot, trained, send),
             Err(e) => send(Response::Error(e)),
         },
         Task::Delta {
@@ -2929,6 +3030,45 @@ fn fit_key(
         });
     }
     Ok((report(model, false), snapshot, Some(records)))
+}
+
+/// The cache-hit half of [`fit_key`], under the caller's lock: when
+/// `tenant`'s model for `key` is cached at the machine's current
+/// generation, counts one request and one hit (touching LRU recency)
+/// exactly as a worker running the read would, and returns the report and
+/// the records to stream. Anything else — an unregistered machine, no
+/// records, a miss — returns `None` having counted nothing, so the
+/// request goes to its shard unchanged.
+fn cached_read(
+    inner: &mut Inner,
+    tenant: &TenantId,
+    key: &ModelKey,
+) -> Option<(ModelReport, RecordsSnapshot)> {
+    let state = inner.tenant(tenant)?.machine(key.machine)?;
+    state.spec.as_ref()?;
+    let generation = state.generation;
+    inner.cache.peek(tenant, key, generation)?;
+    let snapshot = RecordsSnapshot {
+        batches: state.batches.clone(),
+        suite: key.suite,
+    };
+    let records = snapshot.iter().count();
+    if records == 0 {
+        return None;
+    }
+    let model = inner.cache.lookup(tenant, key, generation)?;
+    inner.tenant_mut(tenant).requests += 1;
+    Some((
+        ModelReport {
+            machine: key.machine,
+            suite: key.suite,
+            model,
+            records,
+            cached: true,
+            generation,
+        },
+        snapshot,
+    ))
 }
 
 /// Digest of the *workload's identity*: the distinct benchmark names in a

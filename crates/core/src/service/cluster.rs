@@ -272,11 +272,9 @@ impl From<std::io::Error> for ClusterError {
 /// The ring key a routed machine word hashes by. A design-space variant
 /// (`core2+rob64`) lives with its base preset (`core2`), so a sweep, its
 /// base and every variant model it serves share one owner; any other
-/// word routes by its raw text.
+/// word routes by its raw text. Placement interns no variant name.
 fn ring_key(machine: &str) -> &str {
-    machine
-        .parse::<MachineId>()
-        .map_or(machine, |id| id.base().name())
+    MachineId::base_of(machine).map_or(machine, |base| base.name())
 }
 
 /// One member in the cluster map.

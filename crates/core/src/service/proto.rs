@@ -777,9 +777,8 @@ fn run_command(
             // 0 runs 0` is the warm re-sweep signature the CI smoke pins.
             let spec = parse_sweep_spec(words, options)?;
             let component = spec.component;
-            let ((configs, runs), stream) = client.sweep_begin(spec)?;
             let mut summary = None;
-            for response in stream {
+            for response in client.sweep_begin(spec)? {
                 match response {
                     Response::SweepVariant(v) => write_sweep_variant(output, &v, component)?,
                     Response::SweepSummary(s) => summary = Some(*s),
@@ -793,8 +792,8 @@ fn run_command(
                 output,
                 &front,
                 summary.results.len(),
-                configs + summary.simulated_configs,
-                runs + summary.simulated_runs,
+                summary.simulated_configs,
+                summary.simulated_runs,
             )?;
         }
         "stats" => {

@@ -2,7 +2,10 @@
 //! eviction, and multi-client `CpiService` sessions agreeing byte-for-byte
 //! with the one-shot `Workbench` path.
 
-use memodel::service::{CpiService, ModelCache, ModelKey, ServiceConfig, TenantId};
+use memodel::service::proto::{execute_line, SessionSpec};
+use memodel::service::{
+    CpiService, ModelCache, ModelKey, Request, Response, ServiceConfig, ServiceError, TenantId,
+};
 use memodel::workbench::{MachineSpec, SimSource, Workbench};
 use memodel::FitOptions;
 use oosim::machine::MachineConfig;
@@ -337,5 +340,180 @@ fn workbench_fit_is_served_through_the_service_path() {
         assert_eq!(served.model.params(), group.model.params());
         assert_eq!(served.stacks_csv(), group.stacks_csv());
     }
+    service.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Warm reads answered on the submitting thread
+// ---------------------------------------------------------------------------
+
+/// A running service whose local tenant holds the 12-record Core 2
+/// campaign.
+fn core2_service(config: ServiceConfig) -> (CpiService, memodel::service::CpiClient) {
+    let machine = MachineConfig::core2();
+    let service = CpiService::start(config);
+    let client = service.client();
+    client
+        .register(MachineSpec::from(&machine))
+        .expect("register");
+    client.ingest(campaign_records(&machine)).expect("ingest");
+    (service, client)
+}
+
+/// Runs protocol lines through one session and returns the transcript
+/// (a `binstack` frame's bytes read lossily).
+fn session_transcript(client: &memodel::service::CpiClient, lines: &[&str]) -> String {
+    let mut session = SessionSpec::open(client.clone(), FitOptions::quick()).session();
+    let mut out = Vec::new();
+    for line in lines {
+        execute_line(&mut session, line, &mut out).expect("in-memory transport");
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// The accounting of cache hits answered on the session's thread is the
+/// worker's to the digit: this whole `stats` line is what the code
+/// printed when every read still went through a shard worker.
+#[test]
+fn warm_reads_keep_the_stats_line_byte_exact() {
+    let (service, client) = core2_service(ServiceConfig::new().with_workers(2));
+    let transcript = session_transcript(
+        &client,
+        &[
+            "fit core2 cpu2000",
+            "fit core2 cpu2000",
+            "stack core2 cpu2000",
+            "binstack core2 cpu2000",
+            "predict core2 cpu2000",
+            "stats",
+        ],
+    );
+    let stats = transcript
+        .lines()
+        .find(|l| l.starts_with("stats: "))
+        .expect("a stats line");
+    assert_eq!(
+        stats,
+        "stats: requests 8 fits 1 hits 4 misses 1 warm 0 evictions 0 invalidations 0 \
+         records 12 workers 2 tenant local fit evals 19947"
+    );
+    assert_eq!(transcript.matches("cache: miss").count(), 1, "{transcript}");
+    assert_eq!(transcript.matches("cache: hit").count(), 1, "{transcript}");
+    service.shutdown();
+}
+
+/// A hit answered on the calling thread refreshes LRU recency: with two
+/// slots, fit A, fit B, read A, then fit C evicts B — not A.
+#[test]
+fn an_inline_hit_refreshes_lru_recency() {
+    let (service, client) =
+        core2_service(ServiceConfig::new().with_workers(2).with_cache_capacity(2));
+    let (a, b, c) = (key_with_seed(1), key_with_seed(2), key_with_seed(3));
+    assert!(!client.fit(a.clone()).expect("fit A").cached);
+    assert!(!client.fit(b.clone()).expect("fit B").cached);
+    let (report, stacks) = client.stacks(a.clone()).expect("stack A");
+    assert!(report.cached);
+    assert_eq!(stacks.len(), 12);
+    assert!(!client.fit(c).expect("fit C").cached);
+    assert!(client.fit(a).expect("A survives").cached, "A was evicted");
+    assert!(!client.fit(b).expect("B refits").cached, "B survived");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.fits, 4);
+    assert_eq!(stats.cache.evictions, 2);
+    service.shutdown();
+}
+
+/// A read that misses goes to its shard, fits exactly once, and streams
+/// byte-identical stacks to the hit that follows it — also after new
+/// records retire the cached model.
+#[test]
+fn a_miss_falls_through_and_fits_exactly_once() {
+    let (service, client) = core2_service(ServiceConfig::new().with_workers(2));
+    let key = key_with_seed(7);
+    let render = |stacks: &[(String, memodel::CpiStack)]| -> Vec<String> {
+        stacks.iter().map(|(b, s)| format!("{b} {s}")).collect()
+    };
+    let (cold, cold_stacks) = client.stacks(key.clone()).expect("cold stacks");
+    assert!(!cold.cached);
+    assert_eq!(client.stats().expect("stats").fits, 1);
+    let (warm, warm_stacks) = client.stacks(key.clone()).expect("warm stacks");
+    assert!(warm.cached);
+    assert_eq!(render(&warm_stacks), render(&cold_stacks));
+    assert_eq!(warm.generation, cold.generation);
+
+    // A new batch bumps the generation: the next read misses once.
+    let machine = MachineConfig::core2();
+    let more = SimSource::new()
+        .suite(
+            specgen::suites::cpu2000()
+                .into_iter()
+                .skip(12)
+                .take(4)
+                .collect(),
+        )
+        .uops(UOPS)
+        .seed(SEED)
+        .collect_config(&machine);
+    client.ingest(more).expect("second batch");
+    let (refit, refit_stacks) = client.stacks(key.clone()).expect("refit stacks");
+    assert!(!refit.cached);
+    assert_eq!(refit_stacks.len(), 16);
+    let (again, again_stacks) = client.stacks(key).expect("warm again");
+    assert!(again.cached);
+    assert_eq!(render(&again_stacks), render(&refit_stacks));
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.fits, 2, "each generation fits exactly once");
+    assert_eq!((stats.cache.hits, stats.cache.misses), (2, 2));
+    assert_eq!(stats.cache.invalidations, 1);
+    service.shutdown();
+}
+
+/// A read the cache could answer still honours shutdown.
+#[test]
+fn a_cached_read_after_shutdown_reports_stopped() {
+    let (service, client) = core2_service(ServiceConfig::new());
+    let key = key_with_seed(1);
+    client.fit(key.clone()).expect("fit");
+    assert!(client.fit(key.clone()).expect("warm").cached);
+    service.shutdown();
+    for request in [
+        Request::Fit(key.clone()),
+        Request::Stacks(key.clone()),
+        Request::Group(key.clone()),
+        Request::Predictions(key.clone()),
+    ] {
+        let replies: Vec<Response> = client.submit(request).collect();
+        assert!(
+            matches!(replies.as_slice(), [Response::Error(ServiceError::Stopped)]),
+            "{replies:?}"
+        );
+    }
+}
+
+/// One tenant's cached model is invisible to another tenant's reads:
+/// the second tenant misses, fits its own copy, and its counters show
+/// exactly that.
+#[test]
+fn another_tenants_cached_model_is_invisible_to_inline_reads() {
+    let (service, alpha) = core2_service(ServiceConfig::new().with_workers(2));
+    let key = key_with_seed(1);
+    assert!(!alpha.fit(key.clone()).expect("alpha fits").cached);
+    assert!(alpha.stacks(key.clone()).expect("alpha warm").0.cached);
+
+    let beta = service.client_for(TenantId::new("beta").expect("tenant name"));
+    assert!(matches!(
+        beta.stacks(key.clone()),
+        Err(ServiceError::NotRegistered { .. })
+    ));
+    let machine = MachineConfig::core2();
+    beta.register(MachineSpec::from(&machine))
+        .expect("register");
+    beta.ingest(campaign_records(&machine)).expect("ingest");
+    let (report, _) = beta.stacks(key).expect("beta stacks");
+    assert!(!report.cached, "beta served alpha's model");
+    let stats = beta.stats().expect("beta stats");
+    assert_eq!(stats.fits, 1);
+    assert_eq!((stats.cache.hits, stats.cache.misses), (0, 1));
+    assert_eq!(stats.requests, 5, "stacks ×2, register, ingest, stats");
     service.shutdown();
 }

@@ -2,6 +2,7 @@
 
 use crate::counters::CounterSet;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -43,11 +44,33 @@ impl fmt::Display for Suite {
 pub struct ParseNameError {
     kind: &'static str,
     unknown: String,
+    /// A well-formed variant name refused because the intern pool is full
+    /// ([`MAX_VARIANT_NAMES`]).
+    pool_full: bool,
+}
+
+impl ParseNameError {
+    fn unknown(kind: &'static str, name: &str) -> Self {
+        Self {
+            kind,
+            unknown: name.to_owned(),
+            pool_full: false,
+        }
+    }
 }
 
 impl fmt::Display for ParseNameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown {} name `{}`", self.kind, self.unknown)
+        if self.pool_full {
+            write!(
+                f,
+                "machine name `{}` refused: this process already holds \
+                 {MAX_VARIANT_NAMES} distinct variant names",
+                self.unknown
+            )
+        } else {
+            write!(f, "unknown {} name `{}`", self.kind, self.unknown)
+        }
     }
 }
 
@@ -61,10 +84,7 @@ impl FromStr for Suite {
             .iter()
             .copied()
             .find(|m| m.name() == s)
-            .ok_or_else(|| ParseNameError {
-                kind: "suite",
-                unknown: s.to_owned(),
-            })
+            .ok_or_else(|| ParseNameError::unknown("suite", s))
     }
 }
 
@@ -92,16 +112,61 @@ pub enum MachineId {
     Variant(u32),
 }
 
-/// Process-wide intern pool for variant names. Names are leaked to
-/// `&'static str` once and deduplicated, so index equality is name
-/// equality and `name()` can keep returning `&'static str`.
-fn variant_pool() -> &'static Mutex<Vec<&'static str>> {
-    static POOL: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
+/// The most distinct variant names one process interns. Every name a
+/// client sends is interned when parsed, registered or not, and interned
+/// names live for the whole process, so the pool needs a ceiling:
+/// sixteen full sweeps' worth ([`MAX_VARIANT_NAME_BYTES`] bytes each at
+/// most, so at most 256 KiB in all). Past it, [`MachineId::variant`]
+/// refuses new names; names already interned keep parsing.
+pub const MAX_VARIANT_NAMES: usize = 4096;
+
+/// The longest well-formed variant name, in bytes. The longest a sweep
+/// mints is 59 (`pentium4` with all four axes at nine digits).
+pub const MAX_VARIANT_NAME_BYTES: usize = 64;
+
+/// Interned variant names: leaked to `&'static str` once and deduplicated
+/// through a hash index, so index equality is name equality and `name()`
+/// can keep returning `&'static str`.
+#[derive(Debug, Default)]
+struct VariantPool {
+    names: Vec<&'static str>,
+    index: HashMap<&'static str, u32>,
 }
 
-/// Is `s` a well-formed variant name: `<preset>+<axis><digits>...`?
+impl VariantPool {
+    /// The index of `name`, interning it when it is new and the pool
+    /// holds fewer than `capacity` names. `None` past the ceiling, having
+    /// leaked nothing.
+    fn intern(&mut self, name: &str, capacity: usize) -> Option<u32> {
+        if let Some(&index) = self.index.get(name) {
+            return Some(index);
+        }
+        if self.names.len() >= capacity {
+            return None;
+        }
+        let index = u32::try_from(self.names.len()).ok()?;
+        let name: &'static str = Box::leak(name.to_owned().into_boxed_str());
+        self.names.push(name);
+        self.index.insert(name, index);
+        Some(index)
+    }
+}
+
+/// Why locking the pool cannot fail: no code panics while holding it.
+const POOL_LOCK: &str = "the variant pool is never locked across a panic";
+
+/// The process-wide [`VariantPool`].
+fn variant_pool() -> &'static Mutex<VariantPool> {
+    static POOL: OnceLock<Mutex<VariantPool>> = OnceLock::new();
+    POOL.get_or_init(Mutex::default)
+}
+
+/// Is `s` a well-formed variant name: `<preset>+<axis><digits>...`, at
+/// most [`MAX_VARIANT_NAME_BYTES`] long?
 fn valid_variant_name(s: &str) -> bool {
+    if s.len() > MAX_VARIANT_NAME_BYTES {
+        return false;
+    }
     let mut parts = s.split('+');
     let base_ok = parts
         .next()
@@ -126,7 +191,7 @@ impl MachineId {
             MachineId::Pentium4 => "pentium4",
             MachineId::Core2 => "core2",
             MachineId::CoreI7 => "corei7",
-            MachineId::Variant(i) => variant_pool().lock().unwrap()[i as usize],
+            MachineId::Variant(i) => variant_pool().lock().expect(POOL_LOCK).names[i as usize],
         }
     }
 
@@ -144,30 +209,48 @@ impl MachineId {
     /// Interns a design-space variant id, e.g. `core2+rob192+mshr32`.
     ///
     /// The name must be a preset name followed by one or more `+`-joined
-    /// axis tokens (`rob`/`mshr`/`dw`/`pf` + digits). Interning is
-    /// idempotent: the same name always returns the same id.
+    /// axis tokens (`rob`/`mshr`/`dw`/`pf` + digits), at most
+    /// [`MAX_VARIANT_NAME_BYTES`] long. Interning is idempotent: the same
+    /// name always returns the same id.
     ///
     /// # Errors
     ///
-    /// Returns a [`ParseNameError`] when the name is not well-formed.
+    /// Returns a [`ParseNameError`] when the name is not well-formed, or
+    /// when it is new and the process already interned
+    /// [`MAX_VARIANT_NAMES`] names.
     pub fn variant(name: &str) -> Result<MachineId, ParseNameError> {
+        Self::variant_in(
+            &mut variant_pool().lock().expect(POOL_LOCK),
+            name,
+            MAX_VARIANT_NAMES,
+        )
+    }
+
+    /// The preset `name` denotes — the preset itself, or the base of a
+    /// well-formed variant name — without interning anything, so a
+    /// caller that only needs the base (the cluster router's placement)
+    /// never grows the pool. `None` for any other name.
+    pub fn base_of(name: &str) -> Option<MachineId> {
+        let base = name.split('+').next()?;
+        let preset = MachineId::ALL.into_iter().find(|m| m.name() == base)?;
+        (name == base || valid_variant_name(name)).then_some(preset)
+    }
+
+    /// [`MachineId::variant`] against an explicit pool and ceiling.
+    fn variant_in(
+        pool: &mut VariantPool,
+        name: &str,
+        capacity: usize,
+    ) -> Result<MachineId, ParseNameError> {
         if !valid_variant_name(name) {
-            return Err(ParseNameError {
-                kind: "machine",
-                unknown: name.to_owned(),
-            });
+            return Err(ParseNameError::unknown("machine", name));
         }
-        let mut pool = variant_pool().lock().unwrap();
-        let index = match pool.iter().position(|&n| n == name) {
-            Some(i) => i,
-            None => {
-                pool.push(Box::leak(name.to_owned().into_boxed_str()));
-                pool.len() - 1
-            }
-        };
-        Ok(MachineId::Variant(
-            u32::try_from(index).expect("intern pool outgrew u32"),
-        ))
+        pool.intern(name, capacity)
+            .map(MachineId::Variant)
+            .ok_or_else(|| ParseNameError {
+                pool_full: true,
+                ..ParseNameError::unknown("machine", name)
+            })
     }
 
     /// The preset a variant was derived from (`self` for the presets).
@@ -403,6 +486,48 @@ mod tests {
         for good in ["core2+pf0", "pentium4+dw6", "corei7+rob256+mshr64+dw6+pf0"] {
             assert!(good.parse::<MachineId>().is_ok(), "{good} should parse");
         }
+    }
+
+    #[test]
+    fn a_full_variant_pool_refuses_new_names_and_leaks_nothing() {
+        let mut pool = VariantPool::default();
+        let a = MachineId::variant_in(&mut pool, "core2+rob64", 2).unwrap();
+        let b = MachineId::variant_in(&mut pool, "core2+rob96", 2).unwrap();
+        assert_ne!(a, b);
+        let refused = MachineId::variant_in(&mut pool, "core2+rob128", 2).unwrap_err();
+        assert!(refused.to_string().contains("refused"), "{refused}");
+        assert_eq!(pool.names.len(), 2, "a refused name is not interned");
+        assert_eq!(pool.index.len(), 2);
+        // Names interned before the ceiling keep resolving to their ids.
+        assert_eq!(MachineId::variant_in(&mut pool, "core2+rob64", 2), Ok(a));
+        assert_eq!(MachineId::variant_in(&mut pool, "core2+rob96", 2), Ok(b));
+        // A malformed name is a plain parse error, full pool or not.
+        let malformed = MachineId::variant_in(&mut pool, "core2+l2big", 2).unwrap_err();
+        assert_eq!(malformed.to_string(), "unknown machine name `core2+l2big`");
+    }
+
+    #[test]
+    fn base_of_names_the_preset_without_interning() {
+        let before = variant_pool().lock().unwrap().names.len();
+        assert_eq!(MachineId::base_of("core2"), Some(MachineId::Core2));
+        assert_eq!(
+            MachineId::base_of("corei7+pf2+rob9"),
+            Some(MachineId::CoreI7)
+        );
+        assert_eq!(MachineId::base_of("core2+bogus1"), None);
+        assert_eq!(MachineId::base_of("core9"), None);
+        assert_eq!(MachineId::base_of(""), None);
+        assert_eq!(variant_pool().lock().unwrap().names.len(), before);
+    }
+
+    #[test]
+    fn variant_names_are_capped_in_length() {
+        let longest = "pentium4+rob999999999+mshr999999999+dw999999999+pf999999999";
+        assert!(longest.len() <= MAX_VARIANT_NAME_BYTES);
+        assert!(longest.parse::<MachineId>().is_ok());
+        let long = format!("core2{}", "+pf1".repeat(MAX_VARIANT_NAME_BYTES / 4));
+        assert!(long.len() > MAX_VARIANT_NAME_BYTES);
+        assert!(long.parse::<MachineId>().is_err());
     }
 
     #[test]

@@ -161,6 +161,10 @@ fn sweep_simulates_once_per_distinct_config_and_resweeps_without_refits() {
         cold.simulated_configs * workloads,
         "each workload's trace runs once per distinct config"
     );
+    assert!(
+        cold.results.iter().all(|r| !r.cached),
+        "every variant of a cold sweep is fitted, not served from cache"
+    );
     let fits_after_cold = client.stats().expect("stats").fits;
     assert!(fits_after_cold >= 4, "cold sweep fitted the grid");
 
@@ -187,6 +191,11 @@ fn sweep_simulates_once_per_distinct_config_and_resweeps_without_refits() {
     assert_eq!(grown.results.len(), 6);
     assert_eq!(grown.simulated_configs, 2, "only the new points simulate");
     assert_eq!(grown.simulated_runs, 2 * workloads);
+    assert_eq!(
+        grown.results.iter().filter(|r| !r.cached).count(),
+        2,
+        "only the new points fit"
+    );
 
     service.shutdown();
 }
