@@ -247,6 +247,15 @@ impl fmt::Display for TenantId {
 /// cost of every refit over it against a stream of made-up names.
 pub const MAX_STREAMED_BENCHMARKS: usize = 1024;
 
+/// The most records an appending ingest ([`Request::IngestRecords`],
+/// [`Request::IngestCsv`]) may leave in one machine's store.
+///
+/// The paper's whole campaign is 103 records a machine, and every fit and
+/// snapshot copies the store, so 65 536 (over six hundred campaigns) is far
+/// above real use while it bounds the memory a client can make a node hold
+/// by re-sending one file.
+pub const MAX_MACHINE_RECORDS: usize = 65_536;
+
 /// Error produced while servicing one request.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -307,6 +316,13 @@ pub enum ServiceError {
         /// The machine the stream is bound to.
         machine: MachineId,
     },
+    /// An appending ingest batch would grow one machine's store past
+    /// [`MAX_MACHINE_RECORDS`] records. The batch was rejected whole; the
+    /// store is unchanged.
+    TooManyRecords {
+        /// The machine the batch's records name.
+        machine: MachineId,
+    },
     /// The service has shut down; no more requests can be served.
     Stopped,
 }
@@ -350,6 +366,12 @@ impl fmt::Display for ServiceError {
                 f,
                 "stream batch rejected: machine `{}` would hold more than \
                  {MAX_STREAMED_BENCHMARKS} distinct benchmarks",
+                machine.name()
+            ),
+            ServiceError::TooManyRecords { machine } => write!(
+                f,
+                "ingest rejected: machine `{}` would hold more than \
+                 {MAX_MACHINE_RECORDS} records",
                 machine.name()
             ),
             ServiceError::Stopped => write!(f, "the service has shut down"),
@@ -1140,6 +1162,28 @@ impl TenantState {
             .iter()
             .find(|(id, _)| *id == machine)
             .map(|(_, s)| s)
+    }
+
+    /// Appends an ingested batch to `machine`'s store and returns its new
+    /// generation, unless the store would then hold more than `limit`
+    /// records ([`MAX_MACHINE_RECORDS`] in service): then nothing changes.
+    fn append(
+        &mut self,
+        machine: MachineId,
+        records: Vec<RunRecord>,
+        limit: usize,
+    ) -> Result<u64, ServiceError> {
+        let held: usize = self
+            .machine(machine)
+            .map_or(0, |m| m.batches.iter().map(|b| b.len()).sum());
+        if held.saturating_add(records.len()) > limit {
+            return Err(ServiceError::TooManyRecords { machine });
+        }
+        self.ingested_records += records.len() as u64;
+        let machine_state = self.machine_mut(machine);
+        machine_state.batches.push(Arc::new(records));
+        machine_state.generation += 1;
+        Ok(machine_state.generation)
     }
 }
 
@@ -2507,19 +2551,17 @@ fn handle_task(
         }
         Task::Ingest { machine, records } => {
             let count = records.len();
-            let batch = Arc::new(records);
-            let mut guard = lock(inner);
-            let state = guard.tenant_mut(tenant);
-            state.ingested_records += count as u64;
-            let machine_state = state.machine_mut(machine);
-            machine_state.batches.push(batch);
-            machine_state.generation += 1;
-            let generation = machine_state.generation;
-            drop(guard);
-            send(Response::Ingested {
-                machine,
-                records: count,
-                generation,
+            let appended =
+                lock(inner)
+                    .tenant_mut(tenant)
+                    .append(machine, records, MAX_MACHINE_RECORDS);
+            send(match appended {
+                Ok(generation) => Response::Ingested {
+                    machine,
+                    records: count,
+                    generation,
+                },
+                Err(e) => Response::Error(e),
             });
         }
         Task::StreamBatch { machine, records } => {
@@ -3333,6 +3375,69 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.cache.invalidations, 1);
         assert_eq!(stats.fits, 2);
+    }
+
+    #[test]
+    fn appending_past_the_record_limit_is_refused_whole() {
+        let records = core2_records(3, 2_000, 5);
+        let mut state = TenantState::default();
+        let limit = 7;
+        assert_eq!(
+            state.append(MachineId::Core2, records.clone(), limit).ok(),
+            Some(1)
+        );
+        assert_eq!(
+            state.append(MachineId::Core2, records.clone(), limit).ok(),
+            Some(2)
+        );
+        let err = state
+            .append(MachineId::Core2, records.clone(), limit)
+            .expect_err("9 records would pass the limit of 7");
+        assert!(matches!(
+            err,
+            ServiceError::TooManyRecords {
+                machine: MachineId::Core2
+            }
+        ));
+        let held = state.machine(MachineId::Core2).expect("store");
+        assert_eq!((held.batches.len(), held.generation), (2, 2), "unchanged");
+        assert_eq!(state.ingested_records, 6);
+        // Exactly at the limit is allowed; another machine has its own.
+        assert_eq!(
+            state
+                .append(MachineId::Core2, records[..1].to_vec(), limit)
+                .ok(),
+            Some(3)
+        );
+        let fresh = state.append(MachineId::Pentium4, records[..0].to_vec(), 0);
+        assert_eq!(fresh.ok(), Some(1));
+        let err = state
+            .append(MachineId::CoreI7, records.clone(), 2)
+            .expect_err("over the limit on a machine with no store");
+        assert!(matches!(err, ServiceError::TooManyRecords { .. }));
+        assert!(
+            state.machine(MachineId::CoreI7).is_none(),
+            "no empty store left behind"
+        );
+    }
+
+    #[test]
+    fn an_ingest_past_max_machine_records_is_a_typed_error() {
+        let (service, client) = warm_service();
+        let record = core2_records(1, 2_000, 3).remove(0);
+        let err = client
+            .ingest(vec![record.clone(); MAX_MACHINE_RECORDS])
+            .expect_err("12 held + 65 536 new records");
+        assert!(matches!(
+            err,
+            ServiceError::TooManyRecords {
+                machine: MachineId::Core2
+            }
+        ));
+        assert!(err.to_string().contains("more than 65536 records"), "{err}");
+        assert_eq!(client.ingest(vec![record]).expect("room for one"), 1);
+        let stats = service.shutdown();
+        assert_eq!(stats.ingested_records, 13);
     }
 
     #[test]

@@ -1068,7 +1068,8 @@ impl<'a> ProxySession<'a> {
         line: &str,
         out: &mut impl Write,
     ) -> Result<ProxyOutcome, ClusterError> {
-        let machines: Option<Vec<String>> = std::fs::read_to_string(path)
+        let limit = proto::MAX_INGEST_FILE_BYTES;
+        let machines: Option<Vec<String>> = proto::read_ingest_file(path, limit)
             .ok()
             .and_then(|text| pmu::csv::from_csv(&text).ok())
             .map(|records| {
@@ -1085,8 +1086,8 @@ impl<'a> ProxySession<'a> {
                 names
             });
         let Some(machines) = machines else {
-            // Unreadable or malformed: let a backend produce its exact
-            // error bytes.
+            // Unreadable, too large or malformed: let a backend produce
+            // its exact error bytes.
             let (_, resp) = self.forward_primary(line)?;
             out.write_all(&resp)?;
             return Ok(ProxyOutcome::Continue);

@@ -225,6 +225,34 @@ pub struct Session {
 /// each row is refused instead of growing the session's memory.
 pub const MAX_STREAM_PENDING: usize = 8192;
 
+/// The largest file the `ingest` verb reads, in bytes.
+///
+/// A counters row is ≈ 100–400 bytes, so 32 MiB holds a full
+/// [`MAX_MACHINE_RECORDS`](super::MAX_MACHINE_RECORDS) store of the
+/// widest rows. A larger file is refused from its metadata, before any
+/// of it is read; a file that grows while read (or reports no length, as
+/// a pipe or device does) is cut off one byte past the limit and refused.
+pub const MAX_INGEST_FILE_BYTES: u64 = 32 << 20;
+
+/// Reads an `ingest` file of at most `limit` bytes
+/// ([`MAX_INGEST_FILE_BYTES`] on both the node and the cluster router).
+pub(crate) fn read_ingest_file(path: &str, limit: u64) -> Result<String, String> {
+    let failed = |e: std::io::Error| format!("reading `{path}` failed: {e}");
+    let too_large = || format!("`{path}` is larger than {limit} bytes — not ingested");
+    let file = std::fs::File::open(path).map_err(failed)?;
+    if file.metadata().map_err(failed)?.len() > limit {
+        return Err(too_large());
+    }
+    let mut text = String::new();
+    file.take(limit.saturating_add(1))
+        .read_to_string(&mut text)
+        .map_err(failed)?;
+    if text.len() as u64 > limit {
+        return Err(too_large());
+    }
+    Ok(text)
+}
+
 /// An open `stream` session's buffer and tallies (see [`run_stream`]).
 /// Dropped with the session: rows never flushed are never ingested.
 #[derive(Debug)]
@@ -681,8 +709,8 @@ fn run_command(
         "ingest" => {
             arity(1, "ingest <path>")?;
             let path = words[1];
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CommandError::Protocol(format!("reading `{path}` failed: {e}")))?;
+            let text =
+                read_ingest_file(path, MAX_INGEST_FILE_BYTES).map_err(CommandError::Protocol)?;
             let records = client.ingest_csv(&text, path)?;
             writeln!(output, "ingested {records} records from {path}")?;
         }
@@ -1376,6 +1404,35 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn ingest_files_past_the_limit_are_refused() {
+        let dir =
+            std::env::temp_dir().join(format!("cpistack_ingest_limit_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let path = dir.join("rows.csv");
+        std::fs::write(&path, "0123456789").expect("write");
+        let path = path.to_string_lossy().into_owned();
+        assert_eq!(read_ingest_file(&path, 10).as_deref(), Ok("0123456789"));
+        let err = read_ingest_file(&path, 9).expect_err("10 bytes past a 9-byte limit");
+        assert!(
+            err.ends_with("is larger than 9 bytes — not ingested"),
+            "{err}"
+        );
+        let missing = dir.join("missing.csv").to_string_lossy().into_owned();
+        let err = read_ingest_file(&missing, 10).expect_err("no such file");
+        assert!(
+            err.starts_with(&format!("reading `{missing}` failed: ")),
+            "{err}"
+        );
+        // A source with no length is cut off one byte past the limit.
+        #[cfg(target_os = "linux")]
+        {
+            let err = read_ingest_file("/dev/zero", 16).expect_err("endless source");
+            assert!(err.contains("is larger than 16 bytes"), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -140,20 +140,138 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// What a static program counter decodes to.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StaticInstr {
     kind: UopKind,
     /// For branches: predictability class.
     branch_class: BranchClass,
-    /// For taken non-loop branches: forward skip in instructions.
+    /// For taken non-loop branches: forward skip in instructions (1..=6).
     skip: u64,
     /// For memory ops: which data region this PC's accesses touch.
     region: usize,
     /// Patterned branches: repeat period (2..=9).
     period: u32,
-    /// Patterned branches: the per-PC hash that picks the sub-style and
-    /// toggle slot (cached here so the dynamic path never rehashes).
-    pat_h: u64,
+    /// Patterned branches: the low [`PAT_BITS`] bits of the per-PC hash
+    /// that picks the sub-style (`pat & 1`) and the toggle slot
+    /// (`pat % 2048`) — every bit of the hash the walk reads.
+    pat: u16,
+}
+
+/// Bits of the per-PC pattern hash a [`StaticInstr`] keeps: the walk reads
+/// the hash only through `h & 1` and `h % 2048`.
+const PAT_BITS: u32 = 11;
+const PERIOD_SHIFT: u32 = PAT_BITS;
+const SKIP_SHIFT: u32 = PERIOD_SHIFT + 4;
+const CLASS_SHIFT: u32 = SKIP_SHIFT + 3;
+const KIND_SHIFT: u32 = CLASS_SHIFT + 2;
+/// Set in every packed entry, so `0` marks a slot not yet decoded.
+const VALID: u32 = 1 << (KIND_SHIFT + 4);
+const REGION_SHIFT: u32 = KIND_SHIFT + 5;
+/// Data regions a packed entry can name; a profile with more is decoded
+/// on every visit instead of memoised.
+const PACKED_REGIONS: usize = 1 << (32 - REGION_SHIFT);
+/// [`BranchClass`] by its declaration index, the packed 2-bit code.
+const BRANCH_CLASSES: [BranchClass; 4] = [
+    BranchClass::Biased,
+    BranchClass::Loop,
+    BranchClass::Patterned,
+    BranchClass::DataDependent,
+];
+
+impl StaticInstr {
+    /// Packs into one word: pattern bits, period, skip, branch class and
+    /// kind (each by its declaration index), [`VALID`], then the region.
+    /// Panics unless every field fits its bits (a profile with more than
+    /// [`PACKED_REGIONS`] regions is never memoised).
+    fn pack(self) -> u32 {
+        assert!(
+            self.region < PACKED_REGIONS,
+            "region {} unpackable",
+            self.region
+        );
+        assert!((1..8).contains(&self.skip) && (2..16).contains(&self.period));
+        (self.region as u32) << REGION_SHIFT
+            | VALID
+            | (self.kind as u32) << KIND_SHIFT
+            | (self.branch_class as u32) << CLASS_SHIFT
+            | (self.skip as u32) << SKIP_SHIFT
+            | self.period << PERIOD_SHIFT
+            | u32::from(self.pat)
+    }
+
+    /// Inverse of [`StaticInstr::pack`].
+    #[inline]
+    fn unpack(word: u32) -> Self {
+        Self {
+            kind: UopKind::ALL[((word >> KIND_SHIFT) & 0xF) as usize],
+            branch_class: BRANCH_CLASSES[((word >> CLASS_SHIFT) & 0x3) as usize],
+            skip: u64::from((word >> SKIP_SHIFT) & 0x7),
+            region: (word >> REGION_SHIFT) as usize,
+            period: (word >> PERIOD_SHIFT) & 0xF,
+            pat: (word & ((1 << PAT_BITS) - 1)) as u16,
+        }
+    }
+}
+
+/// Static instruction slots per [`DecodeMemo`] page (4 KiB of entries).
+const MEMO_PAGE: u64 = 1024;
+
+/// The decode memo: the packed [`StaticInstr`] of every static instruction
+/// slot the walk has visited, in pages allocated on first touch.
+///
+/// Slot `s` lives at `pages[s / MEMO_PAGE][s % MEMO_PAGE]`. The page table
+/// holds one null pointer per 1024 slots of the code footprint, and a page
+/// of 1024 four-byte entries is allocated only when the walk first visits
+/// one of its slots, so memory follows the code a run touches rather than
+/// the profile's whole footprint: 100k µops of CPU2006 `gcc.166` (1 MiB of
+/// code, 256 pages) make about a tenth of the pages resident.
+///
+/// Every PC the walk visits is `CODE_BASE` plus a multiple of
+/// `INSTR_BYTES`, below `CODE_BASE + code_instrs × INSTR_BYTES` (loops are
+/// placed inside the code span and skips clamp to the body). A PC past the
+/// table, and every PC of a profile with more than [`PACKED_REGIONS`] data
+/// regions (whose table is empty), is decoded on every visit.
+///
+/// Memoising is bit-identical to decoding on every visit: a PC's decode is
+/// a pure function of `pc ^ pc_seed` and the fixed profile, and
+/// [`StaticInstr::pack`] keeps every bit of it the walk reads.
+#[derive(Debug, Clone)]
+struct DecodeMemo {
+    pages: Vec<Option<Box<[u32; MEMO_PAGE as usize]>>>,
+}
+
+impl DecodeMemo {
+    fn new(code_instrs: u64, regions: usize) -> Self {
+        let pages = if regions <= PACKED_REGIONS {
+            code_instrs.div_ceil(MEMO_PAGE) as usize
+        } else {
+            0
+        };
+        Self {
+            pages: vec![None; pages],
+        }
+    }
+
+    /// The packed entry of `slot`, or `None` when it is not memoised yet.
+    #[inline]
+    fn get(&self, slot: u64) -> Option<u32> {
+        let page = self.pages.get(usize::try_from(slot / MEMO_PAGE).ok()?)?;
+        let word = page.as_ref()?[(slot % MEMO_PAGE) as usize];
+        (word != 0).then_some(word)
+    }
+
+    /// Stores `instr` at `slot`, allocating its page on first touch; a slot
+    /// outside the table is not stored.
+    fn insert(&mut self, slot: u64, instr: StaticInstr) {
+        let Some(page) = usize::try_from(slot / MEMO_PAGE)
+            .ok()
+            .and_then(|p| self.pages.get_mut(p))
+        else {
+            return;
+        };
+        page.get_or_insert_with(|| Box::new([0; MEMO_PAGE as usize]))
+            [(slot % MEMO_PAGE) as usize] = instr.pack();
+    }
 }
 
 /// Per-region address-generation state.
@@ -227,11 +345,10 @@ pub struct TraceGenerator {
     /// Execution counts per static patterned branch (hash-indexed, aliased):
     /// drives run-length direction toggling.
     pattern_counts: Vec<u32>,
-    /// Memoised [`TraceGenerator::decode`] results, indexed by static
-    /// instruction slot. The decode of a PC is a pure function of
-    /// `pc ^ pc_seed` and the (fixed) profile, so each static instruction
-    /// is decoded at most once per run instead of once per dynamic visit.
-    decode_cache: Vec<Option<StaticInstr>>,
+    /// Memoised [`TraceGenerator::decode`] results (see [`DecodeMemo`]):
+    /// each static instruction is decoded at most once per run instead of
+    /// once per dynamic visit.
+    memo: DecodeMemo,
     /// Tabulated geometric sampler (see [`DepTable`]): maps the RNG's
     /// 53-bit mantissa straight to a dep distance, bit-identical to the
     /// historical `ceil(ln(u)/ln(1-p))` computation.
@@ -301,7 +418,7 @@ impl TraceGenerator {
             code_instrs,
             hot_instrs,
             pattern_counts: vec![0; 2048],
-            decode_cache: vec![None; code_instrs as usize],
+            memo: DecodeMemo::new(code_instrs, profile.regions.len()),
             dep_table: {
                 let p = 1.0 / profile.mean_dep_distance;
                 geometric_cutoffs((1.0f64 - p).ln())
@@ -369,26 +486,27 @@ impl TraceGenerator {
             skip: 1 + (h >> 17) % 6,
             region,
             period: 2 + ((h >> 23) % 8) as u32,
-            pat_h: splitmix64(pc ^ self.pc_seed ^ 0xA17),
+            pat: (splitmix64(pc ^ self.pc_seed ^ 0xA17) & ((1 << PAT_BITS) - 1)) as u16,
         }
     }
 
-    /// Memoised [`TraceGenerator::decode`]: every PC the walk can visit lies
-    /// in `[CODE_BASE, CODE_BASE + code_instrs × INSTR_BYTES)` (loops are
-    /// placed inside the code span and skips clamp to the body), so the
-    /// static instruction slot indexes the cache directly. Out-of-range PCs
-    /// (none today) fall back to a direct decode.
+    /// Memoised [`TraceGenerator::decode`] (see [`DecodeMemo`]).
+    #[inline]
     fn decode_cached(&mut self, pc: u64) -> StaticInstr {
         let slot = pc.wrapping_sub(CODE_BASE) / INSTR_BYTES;
-        match self.decode_cache.get(slot as usize) {
-            Some(Some(instr)) => *instr,
-            Some(None) => {
-                let instr = self.decode(pc);
-                self.decode_cache[slot as usize] = Some(instr);
-                instr
-            }
-            None => self.decode(pc),
+        match self.memo.get(slot) {
+            Some(word) => StaticInstr::unpack(word),
+            None => self.decode_miss(pc, slot),
         }
+    }
+
+    /// First visit of `slot` (or a PC the memo does not cover): decode and
+    /// remember.
+    #[cold]
+    fn decode_miss(&mut self, pc: u64, slot: u64) -> StaticInstr {
+        let instr = self.decode(pc);
+        self.memo.insert(slot, instr);
+        instr
     }
 
     /// Starts the next loop: picks a region of code (hot or cold), a body
@@ -569,11 +687,11 @@ impl TraceGenerator {
                     // * slow run-length toggling — the branch holds one
                     //   direction for a stretch, then flips; 2-bit counters
                     //   mispredict only at the flips.
-                    let h = instr.pat_h;
+                    let h = instr.pat;
                     let taken = if h & 1 == 0 {
                         self.current.iter_index.is_multiple_of(2)
                     } else {
-                        let slot = (h % 2048) as usize;
+                        let slot = usize::from(h % 2048);
                         let count = self.pattern_counts[slot];
                         self.pattern_counts[slot] = count.wrapping_add(1);
                         let run = 8 + (instr.period * 6);
@@ -894,6 +1012,124 @@ mod tests {
             let table = table_for(mean);
             proptest::prop_assert_eq!(table.sample(m), bisect(&table, m));
         }
+    }
+
+    #[test]
+    fn packing_round_trips_every_field() {
+        for (k, &kind) in UopKind::ALL.iter().enumerate() {
+            assert_eq!(kind as usize, k, "ALL is in declaration order");
+        }
+        for (c, &class) in BRANCH_CLASSES.iter().enumerate() {
+            assert_eq!(class as usize, c, "BRANCH_CLASSES is in declaration order");
+        }
+        for kind in UopKind::ALL {
+            for branch_class in BRANCH_CLASSES {
+                for skip in 1..=6 {
+                    for period in 2..=9 {
+                        for region in [0, 1, 5, PACKED_REGIONS - 1] {
+                            for pat in [0, 1, 0x2AA, 0x555, 0x7FF] {
+                                let instr = StaticInstr {
+                                    kind,
+                                    branch_class,
+                                    skip,
+                                    region,
+                                    period,
+                                    pat,
+                                };
+                                let word = instr.pack();
+                                assert_ne!(word, 0, "a packed entry is never the empty slot");
+                                assert_eq!(StaticInstr::unpack(word), instr);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Checks `decode_cached` against the `decode` oracle at every PC of
+    /// `pcs`, twice: the first pass fills the memo, the second reads it.
+    fn assert_memo_matches_oracle(g: &mut TraceGenerator, pcs: &[u64]) {
+        for pass in ["fill", "hit"] {
+            for &pc in pcs {
+                assert_eq!(
+                    g.decode_cached(pc),
+                    g.decode(pc),
+                    "{} at pc {pc:#x} ({pass} pass)",
+                    g.profile.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memo_matches_decode_on_every_slot_of_the_largest_code_profiles() {
+        for suite in [crate::suites::cpu2000(), crate::suites::cpu2006()] {
+            let profile = suite
+                .iter()
+                .max_by_key(|p| p.code_footprint)
+                .expect("non-empty suite");
+            let mut g = TraceGenerator::new(profile, Cracking::default(), 3);
+            let end = CODE_BASE + g.code_instrs * INSTR_BYTES;
+            let every_slot: Vec<u64> = (CODE_BASE..end).step_by(INSTR_BYTES as usize).collect();
+            let mut rng = SmallRng::seed_from_u64(17);
+            let random_in_range: Vec<u64> = (0..4096)
+                .map(|_| CODE_BASE + rng.gen_range(0..g.code_instrs) * INSTR_BYTES)
+                .collect();
+            let mut out_of_range = vec![0, CODE_BASE - INSTR_BYTES, end, u64::MAX];
+            out_of_range.extend(
+                (0..4096)
+                    .map(|_| rng.next_u64())
+                    .filter(|&pc| pc < CODE_BASE || pc >= end + MEMO_PAGE * INSTR_BYTES),
+            );
+            // Out-of-range PCs first: they must not land in (and so
+            // corrupt) any slot the in-range checks read afterwards.
+            assert_memo_matches_oracle(&mut g, &out_of_range);
+            assert_eq!(g.memo.pages.iter().flatten().count(), 0);
+            assert_memo_matches_oracle(&mut g, &random_in_range);
+            assert_memo_matches_oracle(&mut g, &every_slot);
+            assert_eq!(
+                g.memo.pages.iter().flatten().count() as u64,
+                g.code_instrs.div_ceil(MEMO_PAGE),
+                "visiting every slot makes every page resident"
+            );
+        }
+    }
+
+    #[test]
+    fn profiles_with_more_regions_than_a_packed_entry_holds_decode_directly() {
+        let regions = PACKED_REGIONS + 1;
+        let many = WorkloadProfile::builder("many-regions", Suite::Cpu2000)
+            .regions(
+                (0..regions)
+                    .map(|_| MemRegion::kib(4, 1.0 / regions as f64, AccessPattern::Random))
+                    .collect(),
+            )
+            .build();
+        many.validate().expect("valid profile");
+        let mut g = TraceGenerator::new(&many, Cracking::default(), 5);
+        assert!(g.memo.pages.is_empty());
+        let pcs: Vec<u64> = (0..g.code_instrs)
+            .map(|s| CODE_BASE + s * INSTR_BYTES)
+            .collect();
+        assert_memo_matches_oracle(&mut g, &pcs);
+        // Every region is reachable: the region field is not truncated.
+        let max_region = pcs.iter().map(|&pc| g.decode(pc).region).max();
+        assert_eq!(max_region, Some(regions - 1));
+        let ops: Vec<_> = g.take(20_000).collect();
+        assert_eq!(ops.len(), 20_000);
+    }
+
+    #[test]
+    fn clone_mid_run_continues_the_same_stream() {
+        let profile = crate::suites::cpu2006()
+            .into_iter()
+            .max_by_key(|p| p.code_footprint)
+            .expect("non-empty suite");
+        let mut g = TraceGenerator::new(&profile, Cracking::default(), 8);
+        g.by_ref().take(30_000).for_each(drop);
+        let twin = g.clone();
+        assert!(g.zip(twin).take(30_000).all(|(a, b)| a == b));
     }
 
     #[test]

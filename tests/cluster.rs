@@ -697,6 +697,41 @@ fn draining_reroutes_keys_while_the_node_keeps_running() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An `ingest` file past `proto::MAX_INGEST_FILE_BYTES` is refused from
+/// its size alone, by a node and through the router alike (the router
+/// does not read it either), with the same in-band error bytes.
+#[test]
+fn an_oversized_ingest_file_is_refused_by_node_and_router_alike() {
+    let dir = scratch("oversized_ingest");
+    let path = dir.join("huge.csv");
+    std::fs::File::create(&path)
+        .and_then(|file| file.set_len(proto::MAX_INGEST_FILE_BYTES + 1))
+        .expect("sparse oversized file");
+    let script = format!(
+        "ingest {}
+quit
+",
+        path.display()
+    );
+    let solo = solo_transcript(&script);
+    let harness = ClusterHarness::builder(dir.join("state"))
+        .with_nodes(2)
+        .with_router(test_router("cluster"))
+        .start()
+        .expect("cluster boots");
+    let via = tcp_session(harness.router_addr(), &script);
+    harness.shutdown();
+    let text = String::from_utf8_lossy(&via);
+    assert_eq!(text, String::from_utf8_lossy(&solo));
+    let refusal = format!(
+        "err: `{}` is larger than {} bytes — not ingested",
+        path.display(),
+        proto::MAX_INGEST_FILE_BYTES
+    );
+    assert!(text.contains(&refusal), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// With every backend dead the router stays up and reports the failure
 /// in-band, per command, instead of hanging up.
 #[test]
